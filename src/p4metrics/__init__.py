@@ -46,18 +46,16 @@ from .metrics import (
 )
 from .simulate import (
     SimulationSpec,
-    SweepPoint,
-    SweepSeries,
     balance_sweep,
     confusion_from_rates,
     edge_cases,
     tpr_sweep,
 )
 from .sweep import (
-    CurvePoint,
+    MetricSeries,
     OptimalThreshold,
     PairedCurvePoint,
-    ThresholdCurve,
+    SeriesPoint,
     optimal_threshold,
     paired_curve,
     read_curve_csv,
@@ -72,12 +70,12 @@ __all__ = [
     "BasicRates",
     "ConfusionMatrix",
     "CsvFormatError",
-    "CurvePoint",
     "DegeneratePopulationError",
     "EmptyInputError",
     "EmptyMatrixError",
     "Label",
     "MetricReport",
+    "MetricSeries",
     "MetricValue",
     "NegativeCountError",
     "NoDefinedPointsError",
@@ -88,10 +86,8 @@ __all__ = [
     "SIGNED_RANGE",
     "SampleParseError",
     "ScoredSample",
+    "SeriesPoint",
     "SimulationSpec",
-    "SweepPoint",
-    "SweepSeries",
-    "ThresholdCurve",
     "UNIT_RANGE",
     "balance_sweep",
     "basic_rates",

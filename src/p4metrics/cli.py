@@ -98,15 +98,21 @@ def cmd_cases(args) -> None:
         _emit(json.dumps(records, indent=2), args.out)
 
 
-def _series_chart(series: simulate.SweepSeries, title: str) -> svg.PlotSpec:
-    xs = series.values()
+def _series_csv_text(series: sweep.MetricSeries) -> str:
+    buffer = io.StringIO()
+    sweep.write_curve_csv(series, buffer)
+    return buffer.getvalue()
+
+
+def _series_chart(series: sweep.MetricSeries, title: str) -> svg.PlotSpec:
+    xs = series.keys
     curves = []
     for name in ("p4", "f1", "mcc_scaled", "j_scaled", "mk_scaled"):
         ys = [getattr(point.report, name).as_float() for point in series.points]
         curves.append(svg.make_series(DISPLAY_NAMES[name], xs, ys))
     return svg.PlotSpec(
         title=title,
-        x_label=series.varying,
+        x_label=series.key_column,
         y_label="metric value",
         series=tuple(curves),
     )
@@ -123,45 +129,25 @@ def cmd_simulate(args) -> None:
     else:
         series = simulate.tpr_sweep(args.n, args.pos, args.tnr)
         title = f"metrics vs true positive rate (n={args.n}, pos={args.pos}, tnr={args.tnr})"
-    rows = [(repr(point.value), point.matrix, point.report) for point in series.points]
-    _emit(_csv_text(rows, key_column=series.varying), args.out)
+    _emit(_series_csv_text(series), args.out)
     if args.svg:
         if args.out is None:
             raise ValueError("--svg needs --out to derive the chart filename")
         svg.write_svg(_series_chart(series, title), _svg_path(args.out))
 
 
-def _pair_out_path(out: str, pair: str, multiple: bool) -> Path:
-    path = Path(out)
-    if not multiple:
-        return path
-    return path.with_name(f"{path.stem}.{pair}{path.suffix or '.csv'}")
-
-
 def cmd_sweep(args) -> None:
     samples = read_scored_csv(args.file)
     curve = sweep.threshold_sweep(samples, delta=args.delta)
     pairs = list(sweep.PAIR_METRICS) if args.pair == "both" else [args.pair.removeprefix("mcc-")]
-
-    if args.out is None and len(pairs) > 1:
-        raise ValueError("--pair both needs --out to name the per-pair CSV files")
-
+    paired_curves = [sweep.paired_curve(curve, y_metric) for y_metric in pairs]
     summary = []
-    paired_curves = []
-    for y_metric in pairs:
-        paired = sweep.paired_curve(curve, y_metric)
-        paired_curves.append(paired)
+    for paired in paired_curves:
         best = sweep.optimal_threshold(paired)
         summary.append(
             f"optimal tau ({best.metric_pair}) = {best.tau:g} (distance {best.distance:.6f})"
         )
-        buffer = io.StringIO()
-        sweep.write_curve_csv(curve, buffer)
-        if args.out is None:
-            sys.stdout.write(buffer.getvalue())
-        else:
-            _pair_out_path(args.out, f"mcc-{y_metric}", len(pairs) > 1).write_text(buffer.getvalue())
-
+    _emit(_series_csv_text(curve), args.out)
     print("\n".join(summary))
 
     if args.svg:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .confusion import ConfusionMatrix
-from .errors import BadGridError, DegeneratePopulationError
-from .metrics import MetricReport, evaluate_all
+from .errors import DegeneratePopulationError
+from .sweep import MetricSeries, build_series
 
 
 @dataclass(frozen=True)
@@ -63,23 +63,6 @@ def confusion_from_rates(spec: SimulationSpec) -> ConfusionMatrix:
     return ConfusionMatrix(tp=tp, fp=actual_negatives - tn, fn=actual_positives - tp, tn=tn)
 
 
-class SweepPoint(NamedTuple):
-    value: float
-    matrix: ConfusionMatrix
-    report: MetricReport
-
-
-@dataclass(frozen=True)
-class SweepSeries:
-    """Metric reports along one varied simulation parameter."""
-
-    varying: str
-    points: tuple[SweepPoint, ...]
-
-    def values(self) -> tuple[float, ...]:
-        return tuple(point.value for point in self.points)
-
-
 def default_balance_grid() -> tuple[float, ...]:
     """Positive-fraction grid 0.01 .. 0.99 in steps of 0.01."""
     return tuple(i / 100 for i in range(1, 100))
@@ -90,34 +73,20 @@ def default_tpr_grid() -> tuple[float, ...]:
     return tuple(i / 100 for i in range(101))
 
 
-def _check_grid(grid: Sequence[float], lo: float, hi: float, inclusive: bool) -> None:
-    if len(grid) == 0:
-        raise BadGridError("empty grid")
-    for a, b in zip(grid, grid[1:]):
-        if not a < b:
-            raise BadGridError(f"grid values must be strictly increasing, got {a!r} before {b!r}")
-    inside = (lambda x: lo <= x <= hi) if inclusive else (lambda x: lo < x < hi)
-    for x in grid:
-        if not inside(x):
-            bounds = f"[{lo}, {hi}]" if inclusive else f"({lo}, {hi})"
-            raise BadGridError(f"grid value {x!r} outside {bounds}")
-
-
 def balance_sweep(
     population: int,
     tpr: float,
     tnr: float,
     grid: Sequence[float] | None = None,
-) -> SweepSeries:
+) -> MetricSeries:
     """Vary the actual-positives fraction at fixed TPR and TNR."""
     if grid is None:
         grid = default_balance_grid()
-    _check_grid(grid, 0.0, 1.0, inclusive=False)
-    points = []
-    for fraction in grid:
-        matrix = confusion_from_rates(SimulationSpec(population, fraction, tpr, tnr))
-        points.append(SweepPoint(fraction, matrix, evaluate_all(matrix)))
-    return SweepSeries(varying="pos_fraction", points=tuple(points))
+    return build_series(
+        "pos_fraction",
+        grid,
+        lambda fraction: confusion_from_rates(SimulationSpec(population, fraction, tpr, tnr)),
+    )
 
 
 def tpr_sweep(
@@ -125,16 +94,15 @@ def tpr_sweep(
     pos_fraction: float,
     tnr: float,
     grid: Sequence[float] | None = None,
-) -> SweepSeries:
+) -> MetricSeries:
     """Vary the true positive rate at a fixed population balance and TNR."""
     if grid is None:
         grid = default_tpr_grid()
-    _check_grid(grid, 0.0, 1.0, inclusive=True)
-    points = []
-    for tpr in grid:
-        matrix = confusion_from_rates(SimulationSpec(population, pos_fraction, tpr, tnr))
-        points.append(SweepPoint(tpr, matrix, evaluate_all(matrix)))
-    return SweepSeries(varying="tpr", points=tuple(points))
+    return build_series(
+        "tpr",
+        grid,
+        lambda tpr: confusion_from_rates(SimulationSpec(population, pos_fraction, tpr, tnr)),
+    )
 
 
 def edge_cases() -> list[tuple[str, ConfusionMatrix]]:

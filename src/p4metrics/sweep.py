@@ -1,9 +1,11 @@
-"""Threshold sweeps over scored predictions and paired metric curves.
+"""Keyed metric series, threshold sweeps and paired metric curves.
 
-A sweep classifies the sample set at every tau on a grid and attaches the
-full metric report per point.  Pairing scaled MCC with F1 or P4 gives the
-two comparison curves, and the optimal threshold is the grid point closest
-to the ideal corner (1, 1) in that plane.
+A series holds one confusion matrix and its full metric report per value of
+a varied key: a threshold tau, or a simulation's positive fraction or true
+positive rate.  A threshold sweep classifies the sample set at every tau on
+a grid.  Pairing scaled MCC with F1 or P4 gives the two comparison curves,
+and the optimal threshold is the grid point closest to the ideal corner
+(1, 1) in that plane.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from . import csvio
 from .confusion import ConfusionMatrix, ScoredSample, classify_at_threshold
@@ -19,34 +21,75 @@ from .errors import BadGridError, CsvFormatError, EmptyInputError, NoDefinedPoin
 from .metrics import MetricReport, MetricValue, evaluate_all
 
 PAIR_METRICS = ("f1", "p4")
+# Series key columns, each with whether its values may reach 0 and 1: a
+# threshold or a rate may, a positive fraction may not (a class would be empty).
+KEY_COLUMNS = {"tau": True, "pos_fraction": False, "tpr": True}
+# bounds the memory a grid takes; sweep-fine's 10 001 taus fit ten times over
+MAX_GRID_SIZE = 100_001
 
 
-class CurvePoint(NamedTuple):
+def check_grid(key_column: str, keys: Sequence[float]) -> None:
+    """Raise BadGridError unless `keys` is a non-empty, strictly increasing
+    grid inside the range of `key_column`."""
+    if key_column not in KEY_COLUMNS:
+        raise BadGridError(f"unknown key column {key_column!r}, expected one of {tuple(KEY_COLUMNS)}")
+    if len(keys) == 0:
+        raise BadGridError("empty grid")
+    closed = KEY_COLUMNS[key_column]
+    for x in keys:
+        if not (0.0 <= x <= 1.0 if closed else 0.0 < x < 1.0):
+            bounds = "[0, 1]" if closed else "(0, 1)"
+            raise BadGridError(f"{key_column} value {x!r} outside {bounds}")
+    for a, b in zip(keys, keys[1:]):
+        if not a < b:
+            raise BadGridError(f"{key_column} values must be strictly increasing, got {a!r} before {b!r}")
+
+
+class SeriesPoint(NamedTuple):
     matrix: ConfusionMatrix
     report: MetricReport
 
 
 @dataclass(frozen=True)
-class ThresholdCurve:
-    """Per-threshold confusion matrices and metric reports."""
+class MetricSeries:
+    """Confusion matrices and metric reports along one varied key.
 
-    taus: tuple[float, ...]
-    points: tuple[CurvePoint, ...]
+    `key_column` names the key (`tau`, `pos_fraction` or `tpr`) and `keys`
+    holds its values, strictly increasing, one per point.
+    """
+
+    key_column: str
+    keys: tuple[float, ...]
+    points: tuple[SeriesPoint, ...]
 
     def __post_init__(self):
-        if len(self.taus) != len(self.points):
-            raise ValueError("taus and points must have equal length")
-        for a, b in zip(self.taus, self.taus[1:]):
-            if not a < b:
-                raise ValueError("taus must be strictly increasing")
+        if len(self.keys) != len(self.points):
+            raise ValueError("keys and points must have equal length")
+        check_grid(self.key_column, self.keys)
+
+
+def build_series(
+    key_column: str, keys: Sequence[float], matrix_at: Callable[[float], ConfusionMatrix]
+) -> MetricSeries:
+    """The series of `matrix_at(key)` and its report for every key of a valid grid."""
+    check_grid(key_column, keys)
+    points = []
+    for key in keys:
+        matrix = matrix_at(key)
+        points.append(SeriesPoint(matrix, evaluate_all(matrix)))
+    return MetricSeries(key_column, tuple(keys), tuple(points))
 
 
 def make_grid(tau0: float, tau_n: float, delta: float) -> tuple[float, ...]:
     """Grid tau0, tau0+delta, ... capped to end exactly at tau_n."""
-    if delta <= 0:
-        raise BadGridError(f"delta must be positive, got {delta!r}")
-    if not (0.0 <= tau0 < tau_n <= 1.0):
-        raise BadGridError(f"need 0 <= tau0 < tau_n <= 1, got tau0={tau0!r}, tau_n={tau_n!r}")
+    if not 0.0 < delta < math.inf:
+        raise BadGridError(f"delta must be positive and finite, got {delta!r}")
+    check_grid("tau", (tau0, tau_n))
+    # checked before the loop so that a tiny delta cannot exhaust memory
+    if (tau_n - tau0) / delta > MAX_GRID_SIZE - 1:
+        raise BadGridError(
+            f"delta {delta!r} gives more than {MAX_GRID_SIZE} taus from {tau0!r} to {tau_n!r}"
+        )
     taus = []
     i = 0
     while True:
@@ -65,16 +108,12 @@ def threshold_sweep(
     tau0: float = 0.0,
     tau_n: float = 1.0,
     delta: float = 0.01,
-) -> ThresholdCurve:
+) -> MetricSeries:
     """Classify `samples` at every grid threshold and report all metrics."""
     if len(samples) == 0:
         raise EmptyInputError("no samples to sweep")
     taus = make_grid(tau0, tau_n, delta)
-    points = []
-    for tau in taus:
-        matrix = classify_at_threshold(samples, tau)
-        points.append(CurvePoint(matrix, evaluate_all(matrix)))
-    return ThresholdCurve(taus=taus, points=tuple(points))
+    return build_series("tau", taus, lambda tau: classify_at_threshold(samples, tau))
 
 
 class PairedCurvePoint(NamedTuple):
@@ -90,18 +129,20 @@ class PairedCurvePoint(NamedTuple):
         return self.x.is_defined and self.y.is_defined
 
 
-def paired_curve(curve: ThresholdCurve, y_metric: str) -> list[PairedCurvePoint]:
+def paired_curve(curve: MetricSeries, y_metric: str) -> list[PairedCurvePoint]:
     """Project a threshold curve onto x = scaled MCC, y = `y_metric`.
 
     Points with an undefined coordinate are kept (for export) but flag
     themselves via `is_defined`.
     """
+    if curve.key_column != "tau":
+        raise ValueError(f"paired curves need a tau-keyed series, got {curve.key_column!r}")
     if y_metric not in PAIR_METRICS:
         raise ValueError(f"y_metric must be one of {PAIR_METRICS}, got {y_metric!r}")
     pair = f"mcc-{y_metric}"
     return [
         PairedCurvePoint(tau, point.report.mcc_scaled, getattr(point.report, y_metric), pair)
-        for tau, point in zip(curve.taus, curve.points)
+        for tau, point in zip(curve.keys, curve.points)
     ]
 
 
@@ -133,20 +174,17 @@ def optimal_threshold(paired: Iterable[PairedCurvePoint]) -> OptimalThreshold:
     return OptimalThreshold(tau=tau, distance=distance, metric_pair=pair)
 
 
-def write_curve_csv(curve: ThresholdCurve, out: TextIO) -> None:
-    """Write the curve in the standard metrics CSV layout, keyed by tau."""
-    rows = [
-        (repr(tau), point.matrix, point.report)
-        for tau, point in zip(curve.taus, curve.points)
-    ]
-    csvio.write_rows(out, rows, key_column="tau")
+def write_curve_csv(series: MetricSeries, out: TextIO) -> None:
+    """Write a series in the standard metrics CSV layout, keyed by its key column."""
+    rows = [(repr(key), point.matrix, point.report) for key, point in zip(series.keys, series.points)]
+    csvio.write_rows(out, rows, key_column=series.key_column)
 
 
-def read_curve_csv(path: str | Path) -> ThresholdCurve:
-    """Read a curve CSV written by `write_curve_csv` back, losslessly."""
+def read_curve_csv(path: str | Path) -> MetricSeries:
+    """Read a series CSV written by `write_curve_csv` back, losslessly."""
     key_column, rows = csvio.read_rows(path)
-    if key_column != "tau":
-        raise CsvFormatError(f"expected a tau-keyed curve CSV, got key {key_column!r}")
-    taus = tuple(float(key) for key, _, _ in rows)
-    points = tuple(CurvePoint(matrix, report) for _, matrix, report in rows)
-    return ThresholdCurve(taus=taus, points=points)
+    if key_column not in KEY_COLUMNS:
+        raise CsvFormatError(f"expected a key column out of {tuple(KEY_COLUMNS)}, got {key_column!r}")
+    keys = tuple(float(key) for key, _, _ in rows)
+    points = tuple(SeriesPoint(matrix, report) for _, matrix, report in rows)
+    return MetricSeries(key_column, keys, points)

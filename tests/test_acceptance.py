@@ -187,7 +187,7 @@ def test_simulation_reproduces_reference_studies():
 
     rate_curve = tpr_sweep(10_000, 0.95, 0.8)
     closing = rate_curve.points[-1].report
-    assert rate_curve.points[-1].value == 1.0
+    assert rate_curve.keys[-1] == 1.0
     assert abs((closing.f1.value - closing.mcc_scaled.value) - 0.05) <= 0.006
 
     elapsed = time.perf_counter() - started
@@ -197,14 +197,14 @@ def test_simulation_reproduces_reference_studies():
 
 def test_sweep_matches_independent_oracles(demo_samples, demo_pairs):
     curve = threshold_sweep(demo_samples)
-    assert len(curve.taus) == 101
-    for tau, point in zip(curve.taus, curve.points):
+    assert len(curve.keys) == 101
+    for tau, point in zip(curve.keys, curve.points):
         m = point.matrix
         assert (m.tp, m.fp, m.fn, m.tn) == oracles.classify_counts(demo_pairs, tau)
 
     for y_name in ("f1", "p4"):
         best = optimal_threshold(paired_curve(curve, y_name))
-        oracle_tau, oracle_distance = oracles.best_threshold(curve.taus, demo_pairs, y_name)
+        oracle_tau, oracle_distance = oracles.best_threshold(curve.keys, demo_pairs, y_name)
         assert best.tau == oracle_tau
         assert abs(best.distance - float(oracle_distance)) <= 1e-12
     _pass("sweep equivalence with linear-scan and exhaustive-scan oracles")

@@ -2,14 +2,29 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from p4metrics import csvio, evaluate_all, read_curve_csv, threshold_sweep
 from p4metrics.cli import main
-from conftest import DEMO_CSV
+from conftest import DEMO_CSV, FIXTURES
+
+
+BOTH_OPTIMA = (
+    "optimal tau (mcc-f1) = 0.45 (distance 0.330718)\n"
+    "optimal tau (mcc-p4) = 0.55 (distance 0.289503)\n"
+)
+
+
+def golden_curve():
+    """The demo curve CSV: the pinned --pair mcc-f1 stdout without its summary line."""
+    lines = (FIXTURES / "golden" / "sweep_mcc-f1.txt").read_text().splitlines(keepends=True)
+    return "".join(lines[:-1])
 
 
 def run_cli(capsys, *argv):
@@ -202,16 +217,15 @@ class TestSimulate:
 
 
 class TestSweep:
-    def test_both_pairs_write_two_files(self, capsys, tmp_path):
+    def test_both_pairs_write_one_file(self, capsys, tmp_path):
         out = tmp_path / "curves.csv"
         rc, stdout, _ = run_cli(
             capsys, "sweep", "--file", str(DEMO_CSV), "--pair", "both", "--out", str(out)
         )
         assert rc == 0
-        assert (tmp_path / "curves.mcc-f1.csv").exists()
-        assert (tmp_path / "curves.mcc-p4.csv").exists()
-        assert "optimal tau (mcc-f1) = 0.45 (distance 0.330718)" in stdout
-        assert "optimal tau (mcc-p4) = 0.55 (distance 0.289503)" in stdout
+        assert sorted(tmp_path.iterdir()) == [out]
+        assert out.read_text() == golden_curve()
+        assert stdout == BOTH_OPTIMA
 
     def test_single_pair_writes_named_file(self, capsys, tmp_path, demo_samples):
         out = tmp_path / "curve.csv"
@@ -222,7 +236,7 @@ class TestSweep:
         assert "optimal tau (mcc-p4) = 0.55" in stdout
         parsed = read_curve_csv(out)
         expected = threshold_sweep(demo_samples)
-        assert parsed.taus == expected.taus
+        assert parsed.keys == expected.keys
         assert all(a.matrix == b.matrix for a, b in zip(parsed.points, expected.points))
 
     def test_single_pair_stdout(self, capsys):
@@ -245,10 +259,17 @@ class TestSweep:
         assert rc == 2
         assert "empty" in err
 
-    def test_both_without_out_exits_2(self, capsys):
-        rc, _, err = run_cli(capsys, "sweep", "--file", str(DEMO_CSV), "--pair", "both")
+    def test_both_pairs_stdout(self, capsys):
+        rc, out, _ = run_cli(capsys, "sweep", "--file", str(DEMO_CSV), "--pair", "both")
+        assert rc == 0
+        assert out == golden_curve() + BOTH_OPTIMA
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "1e-9"])
+    def test_bad_delta_exits_2(self, capsys, delta):
+        rc, out, err = run_cli(capsys, "sweep", "--file", str(DEMO_CSV), "--delta", delta)
         assert rc == 2
-        assert "--out" in err
+        assert out == ""
+        assert err.startswith("p4metrics: error: ") and err.count("\n") == 1
 
     def test_svg_without_out_exits_2(self, capsys, tmp_path):
         path = write_separable(tmp_path)
@@ -265,3 +286,16 @@ class TestSweep:
         assert rc == 0
         root = ET.fromstring((tmp_path / "curves.svg").read_text())
         assert root.tag.endswith("svg")
+
+
+def test_python_m_runs_the_cli(capsys):
+    assert main(["cases", "--format", "csv"]) == 0
+    expected = capsys.readouterr().out.encode()
+    src = str(FIXTURES.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "p4metrics", "cases", "--format", "csv"],
+        capture_output=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout == expected

@@ -93,10 +93,10 @@ class TestBalanceSweep:
         return balance_series
 
     def test_default_grid(self, series):
-        values = series.values()
+        values = series.keys
         assert len(values) == 99
         assert values[0] == 0.01 and values[-1] == 0.99
-        assert series.varying == "pos_fraction"
+        assert series.key_column == "pos_fraction"
 
     def test_youden_is_insensitive_to_balance(self, series):
         for point in series.points:
@@ -133,10 +133,10 @@ class TestTprSweep:
         return tpr_series
 
     def test_default_grid(self, series):
-        values = series.values()
+        values = series.keys
         assert len(values) == 101
         assert values[0] == 0.0 and values[-1] == 1.0
-        assert series.varying == "tpr"
+        assert series.key_column == "tpr"
 
     def test_full_recall_endpoint(self, series):
         last = series.points[-1]
@@ -151,7 +151,7 @@ class TestTprSweep:
 
     def test_midpoint_matches_oracle(self, series):
         mid = series.points[50]
-        assert mid.value == 0.5
+        assert series.keys[50] == 0.5
         counts = (mid.matrix.tp, mid.matrix.fp, mid.matrix.fn, mid.matrix.tn)
         assert counts == (4750, 100, 4750, 400)
         assert abs(mid.report.p4.value - float(oracles.p4(*counts))) <= 1e-12
@@ -161,7 +161,7 @@ class TestTprSweep:
 
     def test_grid_allows_endpoints(self):
         series = tpr_sweep(10_000, 0.5, 0.5, grid=[0.0, 1.0])
-        assert series.values() == (0.0, 1.0)
+        assert series.keys == (0.0, 1.0)
 
 
 class TestEdgeCases:

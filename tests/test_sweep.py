@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from p4metrics import (
     BadGridError,
     ConfusionMatrix,
+    CsvFormatError,
     EmptyInputError,
     Label,
     NoDefinedPointsError,
@@ -15,8 +17,10 @@ from p4metrics import (
     paired_curve,
     read_curve_csv,
     threshold_sweep,
+    tpr_sweep,
     write_curve_csv,
 )
+from p4metrics import csvio
 from p4metrics.sweep import make_grid
 from conftest import DEMO_BEST, DEMO_COUNTS_AT_HALF
 import oracles
@@ -42,12 +46,25 @@ class TestMakeGrid:
             make_grid(0.5, 0.5, 0.1)
         with pytest.raises(BadGridError):
             make_grid(0.0, 1.5, 0.1)
+        with pytest.raises(BadGridError):
+            make_grid(0.0, 1.0, math.nan)
+        with pytest.raises(BadGridError):
+            make_grid(0.0, 1.0, math.inf)
+        with pytest.raises(BadGridError):
+            make_grid(0.0, 1.0, 1e-9)  # over MAX_GRID_SIZE, refused before allocating
+        with pytest.raises(BadGridError):
+            make_grid(math.nan, 1.0, 0.1)
+        with pytest.raises(BadGridError):
+            make_grid(0.0, math.inf, 0.1)
+
+    def test_size_cap_admits_a_fine_grid(self):
+        assert len(make_grid(0.0, 1.0, 0.0001)) == 10_001
 
 
 class TestThresholdSweep:
     def test_separable_pair_three_points(self):
         curve = threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5)
-        assert curve.taus == (0.0, 0.5, 1.0)
+        assert curve.keys == (0.0, 0.5, 1.0)
         assert [p.matrix.predicted_positives for p in curve.points] == [2, 1, 0]
 
     def test_constant_scores_flip_at_half(self):
@@ -63,8 +80,8 @@ class TestThresholdSweep:
 
     def test_demo_point_at_half_matches_oracle(self, demo_samples):
         curve = threshold_sweep(demo_samples)
-        assert len(curve.taus) == 101
-        index = curve.taus.index(0.5)
+        assert len(curve.keys) == 101
+        index = curve.keys.index(0.5)
         matrix = curve.points[index].matrix
         assert (matrix.tp, matrix.fp, matrix.fn, matrix.tn) == DEMO_COUNTS_AT_HALF
 
@@ -82,8 +99,8 @@ class TestThresholdSweep:
     def test_halving_delta_keeps_coarse_points(self, demo_samples):
         coarse = threshold_sweep(demo_samples, delta=0.02)
         fine = threshold_sweep(demo_samples, delta=0.01)
-        fine_by_tau = dict(zip(fine.taus, fine.points))
-        for tau, point in zip(coarse.taus, coarse.points):
+        fine_by_tau = dict(zip(fine.keys, fine.points))
+        for tau, point in zip(coarse.keys, coarse.points):
             assert tau in fine_by_tau
             assert fine_by_tau[tau].matrix == point.matrix
 
@@ -107,7 +124,7 @@ class TestPairedCurve:
     def test_points_match_per_point_recomputation(self, demo_samples):
         curve = threshold_sweep(demo_samples, delta=0.1)
         for y_name in ("f1", "p4"):
-            for tau, point in zip(curve.taus, paired_curve(curve, y_name)):
+            for tau, point in zip(curve.keys, paired_curve(curve, y_name)):
                 report = evaluate_all(point_matrix(curve, tau))
                 assert point.x == report.mcc_scaled
                 assert point.y == getattr(report, y_name)
@@ -123,9 +140,13 @@ class TestPairedCurve:
         with pytest.raises(ValueError):
             paired_curve(curve, "accuracy")
 
+    def test_non_tau_series_rejected(self):
+        with pytest.raises(ValueError, match="tau-keyed"):
+            paired_curve(tpr_sweep(100, 0.5, 0.5), "f1")
+
 
 def point_matrix(curve, tau):
-    return curve.points[curve.taus.index(tau)].matrix
+    return curve.points[curve.keys.index(tau)].matrix
 
 
 class TestOptimalThreshold:
@@ -141,7 +162,7 @@ class TestOptimalThreshold:
         curve = threshold_sweep(demo_samples)
         y_name = pair.removeprefix("mcc-")
         best = optimal_threshold(paired_curve(curve, y_name))
-        oracle_tau, oracle_distance = oracles.best_threshold(curve.taus, demo_pairs, y_name)
+        oracle_tau, oracle_distance = oracles.best_threshold(curve.keys, demo_pairs, y_name)
         assert best.tau == oracle_tau
         assert abs(best.distance - float(oracle_distance)) <= 1e-12
         frozen_tau, frozen_distance = DEMO_BEST[pair]
@@ -180,7 +201,7 @@ class TestCurveCsv:
         path.write_text(buffer.getvalue())
 
         parsed = read_curve_csv(path)
-        assert parsed.taus == curve.taus
+        assert parsed.keys == curve.keys
         for ours, theirs in zip(curve.points, parsed.points):
             assert ours.matrix == theirs.matrix
             assert ours.report == theirs.report
@@ -195,3 +216,28 @@ class TestCurveCsv:
         path.write_text(text)
         parsed = read_curve_csv(path)
         assert not parsed.points[-1].report.mcc.is_defined
+
+    def test_non_increasing_keys_rejected(self, tmp_path):
+        buffer = io.StringIO()
+        write_curve_csv(threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5), buffer)
+        header, *rows = buffer.getvalue().splitlines(keepends=True)
+        path = tmp_path / "curve.csv"
+        path.write_text(header + rows[1] + rows[0] + rows[2])
+        with pytest.raises(BadGridError):
+            read_curve_csv(path)
+
+    def test_simulation_series_round_trips(self, tmp_path):
+        series = tpr_sweep(1000, 0.3, 0.9)
+        buffer = io.StringIO()
+        write_curve_csv(series, buffer)
+        path = tmp_path / "tpr.csv"
+        path.write_text(buffer.getvalue())
+        assert read_curve_csv(path) == series
+
+    def test_case_keyed_csv_rejected(self, tmp_path):
+        matrix = ConfusionMatrix(1, 2, 3, 4)
+        path = tmp_path / "cases.csv"
+        with open(path, "w") as fh:
+            csvio.write_rows(fh, [("C1", matrix, evaluate_all(matrix))], key_column="case")
+        with pytest.raises(CsvFormatError):
+            read_curve_csv(path)
