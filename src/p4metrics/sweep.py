@@ -24,7 +24,7 @@ PAIR_METRICS = ("f1", "p4")
 # Series key columns, each with whether its values may reach 0 and 1: a
 # threshold or a rate may, a positive fraction may not (a class would be empty).
 KEY_COLUMNS = {"tau": True, "pos_fraction": False, "tpr": True}
-# bounds the memory a grid takes; sweep-fine's 10 001 taus fit ten times over
+# bounds the memory a grid takes; a 1e-4 step on [0, 1] (10 001 taus) fits ten times over
 MAX_GRID_SIZE = 100_001
 
 
