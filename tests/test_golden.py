@@ -1,8 +1,9 @@
 """Byte-exact CLI outputs on the fixtures.
 
 The expected files under fixtures/golden/ were written by the CLI before the
-sweep and simulation series were merged into one type; any refactor must
-reproduce them exactly.
+sweep and simulation series were merged into one type, and the two charts
+before the CLI's chart builders were merged; any refactor must reproduce them
+exactly.
 """
 
 import pytest
@@ -38,3 +39,18 @@ def test_out_file_matches_golden(name, capsys, tmp_path):
     assert main(COMMANDS[name] + ["--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# chart pins: the command (without --out/--svg) and the file name of its curve CSV
+CHARTS = {
+    "sweep_demo.svg": (["sweep", "--file", str(DEMO_CSV), "--pair", "both"], "sweep_demo.csv"),
+    "simulate_balance.svg": (COMMANDS["simulate_balance.csv"], "simulate_balance.csv"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_svg_matches_golden(name, capsys, tmp_path):
+    argv, csv_name = CHARTS[name]
+    assert main(argv + ["--out", str(tmp_path / csv_name), "--svg"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()

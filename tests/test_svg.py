@@ -48,6 +48,14 @@ def test_isolated_point_becomes_marker():
     doc = render_line_chart(simple_spec(series=(series,)))
     assert doc.count("<polyline") == 0
     assert doc.count("<circle") == 1
+    assert '<circle cx="380.00" cy="234.00" r="2" fill="#1f77b4"/>' in doc
+
+
+def test_infinite_point_splits_polyline():
+    series = make_series("gappy", [0.0, 0.25, 0.5, 0.75, 1.0], [0.1, 0.2, math.inf, 0.4, 0.5])
+    doc = render_line_chart(simple_spec(series=(series,)))
+    assert 'points="56.00,434.00 218.00,334.00"' in doc
+    assert 'points="542.00,134.00 704.00,34.00"' in doc
 
 
 def test_all_nan_rejected():
