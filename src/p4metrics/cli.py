@@ -11,6 +11,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from typing import Callable, TextIO
 
 from . import csvio, simulate, svg, sweep
 from .confusion import ConfusionMatrix, classify_at_threshold, read_scored_csv
@@ -45,17 +46,19 @@ def _json_record(matrix: ConfusionMatrix, report: MetricReport) -> dict:
     }
 
 
-def _csv_text(rows, key_column) -> str:
+def _captured(write: Callable[[TextIO], None]) -> str:
+    """The text `write` writes to the stream it is given."""
     buffer = io.StringIO()
-    csvio.write_rows(buffer, rows, key_column)
+    write(buffer)
     return buffer.getvalue()
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write `text`, ending in one newline, to the `out` file or else to stdout."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         Path(out).write_text(text)
 
@@ -79,7 +82,7 @@ def cmd_eval(args) -> None:
         lines = [_counts_line(matrix), ""] + _table_rows(report)
         _emit("\n".join(lines), args.out)
     elif args.format == "csv":
-        _emit(_csv_text([("", matrix, report)], key_column=None), args.out)
+        _emit(_captured(lambda buffer: csvio.write_rows(buffer, [("", matrix, report)], None)), args.out)
     else:
         _emit(json.dumps(_json_record(matrix, report), indent=2), args.out)
 
@@ -92,34 +95,26 @@ def cmd_cases(args) -> None:
             blocks.append("\n".join([f"{name}  {_counts_line(matrix)}"] + _table_rows(report, "  ")))
         _emit("\n\n".join(blocks), args.out)
     elif args.format == "csv":
-        _emit(_csv_text(evaluated, key_column="case"), args.out)
+        _emit(_captured(lambda buffer: csvio.write_rows(buffer, evaluated, "case")), args.out)
     else:
         records = [{"case": name, **_json_record(matrix, report)} for name, matrix, report in evaluated]
         _emit(json.dumps(records, indent=2), args.out)
 
 
-def _series_csv_text(series: sweep.MetricSeries) -> str:
-    buffer = io.StringIO()
-    sweep.write_curve_csv(series, buffer)
-    return buffer.getvalue()
-
-
-def _series_chart(series: sweep.MetricSeries, title: str) -> svg.PlotSpec:
-    xs = series.keys
-    curves = []
-    for name in ("p4", "f1", "mcc_scaled", "j_scaled", "mk_scaled"):
-        ys = [getattr(point.report, name).as_float() for point in series.points]
-        curves.append(svg.make_series(DISPLAY_NAMES[name], xs, ys))
-    return svg.PlotSpec(
-        title=title,
-        x_label=series.key_column,
-        y_label="metric value",
-        series=tuple(curves),
-    )
-
-
-def _svg_path(out: str) -> Path:
-    return Path(out).with_suffix(".svg")
+def _emit_series(series: sweep.MetricSeries, args, lines, title: str, x_label: str, y_label: str) -> None:
+    """Emit the series CSV; with --svg, chart each (name, x, y) of `lines` beside --out,
+    where x and y name report metrics and an x of None stands for the series key."""
+    _emit(_captured(lambda buffer: sweep.write_curve_csv(series, buffer)), args.out)
+    if args.svg:
+        curves = tuple(
+            svg.Series(name, tuple(
+                (key if x is None else getattr(point.report, x).as_float(),
+                 getattr(point.report, y).as_float())
+                for key, point in zip(series.keys, series.points)
+            ))
+            for name, x, y in lines
+        )
+        svg.write_svg(svg.PlotSpec(title, x_label, y_label, curves), Path(args.out).with_suffix(".svg"))
 
 
 def cmd_simulate(args) -> None:
@@ -129,41 +124,20 @@ def cmd_simulate(args) -> None:
     else:
         series = simulate.tpr_sweep(args.n, args.pos, args.tnr)
         title = f"metrics vs true positive rate (n={args.n}, pos={args.pos}, tnr={args.tnr})"
-    _emit(_series_csv_text(series), args.out)
-    if args.svg:
-        if args.out is None:
-            raise ValueError("--svg needs --out to derive the chart filename")
-        svg.write_svg(_series_chart(series, title), _svg_path(args.out))
+    names = ("p4", "f1", "mcc_scaled", "j_scaled", "mk_scaled")
+    lines = [(DISPLAY_NAMES[name], None, name) for name in names]
+    _emit_series(series, args, lines, title, series.key_column, "metric value")
 
 
 def cmd_sweep(args) -> None:
     samples = read_scored_csv(args.file)
     curve = sweep.threshold_sweep(samples, delta=args.delta)
     pairs = list(sweep.PAIR_METRICS) if args.pair == "both" else [args.pair.removeprefix("mcc-")]
-    paired_curves = [sweep.paired_curve(curve, y_metric) for y_metric in pairs]
-    summary = []
-    for paired in paired_curves:
-        best = sweep.optimal_threshold(paired)
-        summary.append(
-            f"optimal tau ({best.metric_pair}) = {best.tau:g} (distance {best.distance:.6f})"
-        )
-    _emit(_series_csv_text(curve), args.out)
-    print("\n".join(summary))
-
-    if args.svg:
-        if args.out is None:
-            raise ValueError("--svg needs --out to derive the chart filename")
-        curves = []
-        for paired in paired_curves:
-            points = tuple((p.x.as_float(), p.y.as_float()) for p in paired)
-            curves.append(svg.Series(paired[0].pair.upper().replace("MCC", "MCC'"), points))
-        chart = svg.PlotSpec(
-            title=f"paired metric curves ({Path(args.file).name})",
-            x_label="MCC'",
-            y_label="F1 / P4",
-            series=tuple(curves),
-        )
-        svg.write_svg(chart, _svg_path(args.out))
+    optima = [sweep.optimal_threshold(sweep.paired_curve(curve, y_metric)) for y_metric in pairs]
+    lines = [(f"MCC'-{y_metric.upper()}", "mcc_scaled", y_metric) for y_metric in pairs]
+    _emit_series(curve, args, lines, f"paired metric curves ({Path(args.file).name})", "MCC'", "F1 / P4")
+    for best in optima:
+        print(f"optimal tau ({best.metric_pair}) = {best.tau:g} (distance {best.distance:.6f})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,6 +191,9 @@ def main(argv=None) -> int:
         if args.kind == "tpr" and args.pos is None:
             parser.error("simulate tpr needs --pos")
     try:
+        # the chart goes beside --out, so --out must exist and must not be the chart
+        if getattr(args, "svg", False) and (args.out is None or Path(args.out).suffix.lower() == ".svg"):
+            raise ValueError("--svg needs an --out path not ending in .svg, to write the chart beside it")
         args.handler(args)
     except (P4MetricsError, ValueError, OSError) as exc:
         print(f"p4metrics: error: {exc}", file=sys.stderr)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 from xml.sax.saxutils import escape
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
@@ -38,10 +37,6 @@ class PlotSpec:
     height: int = 480
 
 
-def make_series(name: str, xs: Sequence[float], ys: Sequence[float]) -> Series:
-    return Series(name, tuple(zip(xs, ys)))
-
-
 def _bounds(values: list[float]) -> tuple[float, float]:
     lo, hi = min(values), max(values)
     if lo == hi:
@@ -49,13 +44,9 @@ def _bounds(values: list[float]) -> tuple[float, float]:
     return lo, hi
 
 
-def _finite(value: float) -> bool:
-    return not (math.isnan(value) or math.isinf(value))
-
-
 def render_line_chart(spec: PlotSpec) -> str:
-    xs = [x for s in spec.series for x, y in s.points if _finite(x) and _finite(y)]
-    ys = [y for s in spec.series for x, y in s.points if _finite(x) and _finite(y)]
+    xs = [x for s in spec.series for x, y in s.points if math.isfinite(x) and math.isfinite(y)]
+    ys = [y for s in spec.series for x, y in s.points if math.isfinite(x) and math.isfinite(y)]
     if not xs:
         raise ValueError("nothing to plot: every point has a non-finite coordinate")
     x_lo, x_hi = _bounds(xs)
@@ -112,25 +103,19 @@ def render_line_chart(spec: PlotSpec) -> str:
     for index, series in enumerate(spec.series):
         color = PALETTE[index % len(PALETTE)]
         # split at non-finite points so undefined values leave visible gaps
-        segment: list[str] = []
-        segments: list[list[str]] = []
+        segments: list[list[tuple[float, float]]] = [[]]
         for x, y in series.points:
-            if _finite(x) and _finite(y):
-                segment.append(f"{px(x):.2f},{py(y):.2f}")
-            elif segment:
-                segments.append(segment)
-                segment = []
-        if segment:
-            segments.append(segment)
-        for seg in segments:
+            if math.isfinite(x) and math.isfinite(y):
+                segments[-1].append((px(x), py(y)))
+            elif segments[-1]:
+                segments.append([])
+        for seg in filter(None, segments):
             if len(seg) == 1:
-                cx, cy = seg[0].split(",")
-                parts.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')
+                cx, cy = seg[0]
+                parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2" fill="{color}"/>')
             else:
-                parts.append(
-                    f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                    f'points="{" ".join(seg)}"/>'
-                )
+                points = " ".join(f"{x:.2f},{y:.2f}" for x, y in seg)
+                parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
 
     legend_x = _MARGIN_LEFT + plot_w - 110
     legend_y = _MARGIN_TOP + 8

@@ -209,11 +209,22 @@ class TestSimulate:
         assert out.startswith("pos_fraction,tp,fp,fn,tn,")
 
     def test_svg_without_out_exits_2(self, capsys):
-        rc, _, err = run_cli(
+        rc, out, err = run_cli(
             capsys, "simulate", "balance", "--n", "100", "--tpr", "0.5", "--tnr", "0.5", "--svg"
         )
         assert rc == 2
-        assert "--svg" in err
+        assert out == ""
+        assert "--svg" in err and err.count("\n") == 1
+
+    def test_svg_out_ending_in_svg_exits_2(self, capsys, tmp_path):
+        rc, out, err = run_cli(
+            capsys, "simulate", "balance", "--n", "100", "--tpr", "0.5", "--tnr", "0.5",
+            "--out", str(tmp_path / "balance.svg"), "--svg",
+        )
+        assert rc == 2
+        assert out == ""
+        assert "--svg" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:
@@ -273,9 +284,20 @@ class TestSweep:
 
     def test_svg_without_out_exits_2(self, capsys, tmp_path):
         path = write_separable(tmp_path)
-        rc, _, err = run_cli(capsys, "sweep", "--file", str(path), "--pair", "mcc-f1", "--svg")
+        rc, out, err = run_cli(capsys, "sweep", "--file", str(path), "--pair", "mcc-f1", "--svg")
         assert rc == 2
-        assert "--svg" in err
+        assert out == ""
+        assert "--svg" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["curve.svg", "curve.SVG"])
+    def test_svg_out_ending_in_svg_exits_2(self, capsys, tmp_path, name):
+        rc, out, err = run_cli(
+            capsys, "sweep", "--file", str(DEMO_CSV), "--out", str(tmp_path / name), "--svg"
+        )
+        assert rc == 2
+        assert out == ""
+        assert "--svg" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_svg_output(self, capsys, tmp_path):
         out = tmp_path / "curves.csv"

@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from p4metrics.svg import PlotSpec, Series, make_series, render_line_chart, write_svg
+from p4metrics.svg import PlotSpec, Series, render_line_chart, write_svg
 
 
 def simple_spec(**overrides):
@@ -12,8 +12,8 @@ def simple_spec(**overrides):
         x_label="x",
         y_label="y",
         series=(
-            make_series("rising", [0.0, 0.5, 1.0], [0.0, 0.4, 1.0]),
-            make_series("falling", [0.0, 0.5, 1.0], [1.0, 0.6, 0.2]),
+            Series("rising", ((0.0, 0.0), (0.5, 0.4), (1.0, 1.0))),
+            Series("falling", ((0.0, 1.0), (0.5, 0.6), (1.0, 0.2))),
         ),
     )
     defaults.update(overrides)
@@ -38,13 +38,13 @@ def test_legend_names_and_labels_present():
 
 
 def test_nan_splits_polyline_into_segments():
-    series = make_series("gappy", [0.0, 0.25, 0.5, 0.75, 1.0], [0.1, 0.2, math.nan, 0.4, 0.5])
+    series = Series("gappy", ((0.0, 0.1), (0.25, 0.2), (0.5, math.nan), (0.75, 0.4), (1.0, 0.5)))
     doc = render_line_chart(simple_spec(series=(series,)))
     assert doc.count("<polyline") == 2
 
 
 def test_isolated_point_becomes_marker():
-    series = make_series("dots", [0.0, 0.5, 1.0], [math.nan, 0.4, math.nan])
+    series = Series("dots", ((0.0, math.nan), (0.5, 0.4), (1.0, math.nan)))
     doc = render_line_chart(simple_spec(series=(series,)))
     assert doc.count("<polyline") == 0
     assert doc.count("<circle") == 1
@@ -52,14 +52,14 @@ def test_isolated_point_becomes_marker():
 
 
 def test_infinite_point_splits_polyline():
-    series = make_series("gappy", [0.0, 0.25, 0.5, 0.75, 1.0], [0.1, 0.2, math.inf, 0.4, 0.5])
+    series = Series("gappy", ((0.0, 0.1), (0.25, 0.2), (0.5, math.inf), (0.75, 0.4), (1.0, 0.5)))
     doc = render_line_chart(simple_spec(series=(series,)))
     assert 'points="56.00,434.00 218.00,334.00"' in doc
     assert 'points="542.00,134.00 704.00,34.00"' in doc
 
 
 def test_all_nan_rejected():
-    series = make_series("empty", [0.0, 1.0], [math.nan, math.nan])
+    series = Series("empty", ((0.0, math.nan), (1.0, math.nan)))
     with pytest.raises(ValueError):
         render_line_chart(simple_spec(series=(series,)))
 
