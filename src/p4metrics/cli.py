@@ -103,18 +103,23 @@ def cmd_cases(args) -> None:
 
 def _emit_series(series: sweep.MetricSeries, args, lines, title: str, x_label: str, y_label: str) -> None:
     """Emit the series CSV; with --svg, chart each (name, x, y) of `lines` beside --out,
-    where x and y name report metrics and an x of None stands for the series key."""
+    where x and y name report metrics and an x of None stands for the series key.
+    A chart that cannot be written takes the --out file with it."""
     _emit(_captured(lambda buffer: sweep.write_curve_csv(series, buffer)), args.out)
     if args.svg:
-        curves = tuple(
-            svg.Series(name, tuple(
-                (key if x is None else getattr(point.report, x).as_float(),
-                 getattr(point.report, y).as_float())
-                for key, point in zip(series.keys, series.points)
-            ))
-            for name, x, y in lines
-        )
-        svg.write_svg(svg.PlotSpec(title, x_label, y_label, curves), Path(args.out).with_suffix(".svg"))
+        try:
+            curves = tuple(
+                svg.Series(name, tuple(
+                    (key if x is None else getattr(point.report, x).as_float(),
+                     getattr(point.report, y).as_float())
+                    for key, point in zip(series.keys, series.points)
+                ))
+                for name, x, y in lines
+            )
+            svg.write_svg(svg.PlotSpec(title, x_label, y_label, curves), Path(args.out).with_suffix(".svg"))
+        except BaseException:
+            Path(args.out).unlink(missing_ok=True)
+            raise
 
 
 def cmd_simulate(args) -> None:

@@ -30,18 +30,23 @@ def write_rows(
     rows: Iterable[tuple[str, ConfusionMatrix, MetricReport]],
     key_column: str | None,
 ) -> None:
-    """Write (key, matrix, report) rows; `key_column` of None drops the key."""
+    """Write (key, matrix, report) rows; `key_column` of None drops the key.
+
+    A row whose matrix and report are the objects of the row before reuses
+    that row's formatted cells.
+    """
     writer = csv.writer(out, lineterminator="\n")
     header = list(COUNT_COLUMNS) + list(METRIC_NAMES)
     if key_column is not None:
         header.insert(0, key_column)
     writer.writerow(header)
+    matrix_before = report_before = cells = None
     for key, matrix, report in rows:
-        row = [matrix.tp, matrix.fp, matrix.fn, matrix.tn]
-        row += [format_value(value) for value in report.as_dict().values()]
-        if key_column is not None:
-            row.insert(0, key)
-        writer.writerow(row)
+        if matrix is not matrix_before or report is not report_before:
+            cells = [matrix.tp, matrix.fp, matrix.fn, matrix.tn]
+            cells += [format_value(value) for value in report.as_dict().values()]
+            matrix_before, report_before = matrix, report
+        writer.writerow(cells if key_column is None else [key, *cells])
 
 
 def _parse_metric(name: str, text: str, line_no: int) -> MetricValue:

@@ -11,12 +11,13 @@ and the optimal threshold is the grid point closest to the ideal corner
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from . import csvio
-from .confusion import ConfusionMatrix, ScoredSample, classify_at_threshold
+from .confusion import ConfusionMatrix, Label, ScoredSample
 from .errors import BadGridError, CsvFormatError, EmptyInputError, NoDefinedPointsError
 from .metrics import MetricReport, MetricValue, evaluate_all
 
@@ -71,12 +72,19 @@ class MetricSeries:
 def build_series(
     key_column: str, keys: Sequence[float], matrix_at: Callable[[float], ConfusionMatrix]
 ) -> MetricSeries:
-    """The series of `matrix_at(key)` and its report for every key of a valid grid."""
+    """The series of `matrix_at(key)` and its report for every key of a valid grid.
+
+    A key whose matrix equals the previous key's reuses that frozen point, so
+    each run of equal neighbouring matrices is evaluated once.
+    """
     check_grid(key_column, keys)
     points = []
+    point = None
     for key in keys:
         matrix = matrix_at(key)
-        points.append(SeriesPoint(matrix, evaluate_all(matrix)))
+        if point is None or matrix != point.matrix:
+            point = SeriesPoint(matrix, evaluate_all(matrix))
+        points.append(point)
     return MetricSeries(key_column, tuple(keys), tuple(points))
 
 
@@ -109,11 +117,25 @@ def threshold_sweep(
     tau_n: float = 1.0,
     delta: float = 0.01,
 ) -> MetricSeries:
-    """Classify `samples` at every grid threshold and report all metrics."""
+    """Classify `samples` at every grid threshold and report all metrics.
+
+    Each class's scores are sorted once; at each tau, `bisect_right` counts
+    the scores <= tau, the samples called negative under the strict
+    `score > tau` rule of `classify_at_threshold`.  The sweep costs
+    O(n log n + G log n) for n samples and G taus.
+    """
     if len(samples) == 0:
         raise EmptyInputError("no samples to sweep")
     taus = make_grid(tau0, tau_n, delta)
-    return build_series("tau", taus, lambda tau: classify_at_threshold(samples, tau))
+    positives = sorted(s.score for s in samples if s.label is Label.POSITIVE)
+    negatives = sorted(s.score for s in samples if s.label is not Label.POSITIVE)
+
+    def matrix_at(tau: float) -> ConfusionMatrix:
+        fn = bisect_right(positives, tau)
+        tn = bisect_right(negatives, tau)
+        return ConfusionMatrix(len(positives) - fn, len(negatives) - tn, fn, tn)
+
+    return build_series("tau", taus, matrix_at)
 
 
 class PairedCurvePoint(NamedTuple):

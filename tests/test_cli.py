@@ -310,6 +310,19 @@ class TestSweep:
         assert root.tag.endswith("svg")
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--file", str(DEMO_CSV)],
+    ["simulate", "balance", "--n", "100", "--tpr", "0.5", "--tnr", "0.5"],
+])
+def test_failed_chart_leaves_no_curve(capsys, tmp_path, command):
+    (tmp_path / "X.svg").mkdir()
+    rc, out, err = run_cli(capsys, *command, "--out", str(tmp_path / "X.csv"), "--svg")
+    assert rc == 2
+    assert err.startswith("p4metrics: error: ") and err.count("\n") == 1
+    assert out == ""
+    assert not (tmp_path / "X.csv").exists()
+
+
 def test_python_m_runs_the_cli(capsys):
     assert main(["cases", "--format", "csv"]) == 0
     expected = capsys.readouterr().out.encode()

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from p4metrics import (
     BadGridError,
@@ -20,12 +21,25 @@ from p4metrics import (
     tpr_sweep,
     write_curve_csv,
 )
-from p4metrics import csvio
+from p4metrics import csvio, sweep
+from p4metrics.metrics import METRIC_NAMES
 from p4metrics.sweep import make_grid
-from conftest import DEMO_BEST, DEMO_COUNTS_AT_HALF
+from conftest import DEMO_BEST, DEMO_COUNTS_AT_HALF, unit_floats
 import oracles
 
 SEPARABLE = [ScoredSample(0.9, Label.POSITIVE), ScoredSample(0.2, Label.NEGATIVE)]
+
+
+@st.composite
+def hard_sweeps(draw):
+    """(delta, samples) on an odd grid, with scores often tied and often equal
+    to a grid tau, and sometimes only one class."""
+    delta = draw(st.sampled_from((0.03, 0.07, 0.013, 0.01, 0.3)))
+    ties = draw(st.lists(unit_floats, min_size=1, max_size=3))
+    scores = st.one_of(st.sampled_from(make_grid(0.0, 1.0, delta)), st.sampled_from(ties), unit_floats)
+    labels = draw(st.sampled_from(((Label.POSITIVE,), (Label.NEGATIVE,), tuple(Label))))
+    pairs = draw(st.lists(st.tuples(scores, st.sampled_from(labels)), min_size=1, max_size=60))
+    return delta, [ScoredSample(score, label) for score, label in pairs]
 
 
 class TestMakeGrid:
@@ -95,6 +109,33 @@ class TestThresholdSweep:
         curve = threshold_sweep(demo_samples, delta=0.05)
         for point in curve.points:
             assert point.report == evaluate_all(point.matrix)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hard_sweeps())
+    def test_matches_oracle_on_hard_inputs(self, case):
+        delta, samples = case
+        curve = threshold_sweep(samples, delta=delta)
+        pairs = [(s.score, s.label is Label.POSITIVE) for s in samples]
+        assert curve.keys == make_grid(0.0, 1.0, delta)
+        for tau, point in zip(curve.keys, curve.points):
+            matrix = point.matrix
+            assert (matrix.tp, matrix.fp, matrix.fn, matrix.tn) == oracles.classify_counts(pairs, tau)
+            assert point.report == evaluate_all(matrix)
+
+    def test_evaluates_each_distinct_matrix_once(self, demo_samples, monkeypatch):
+        calls = 0
+
+        def counted(matrix):
+            nonlocal calls
+            calls += 1
+            return evaluate_all(matrix)
+
+        monkeypatch.setattr(sweep, "evaluate_all", counted)
+        curve = threshold_sweep(demo_samples, delta=0.0001)
+        assert len(curve.keys) == 10_001
+        assert calls <= len({point.matrix for point in curve.points})
+        for a, b in zip(curve.points, curve.points[1:]):
+            assert (a is b) == (a.matrix == b.matrix)
 
     def test_halving_delta_keeps_coarse_points(self, demo_samples):
         coarse = threshold_sweep(demo_samples, delta=0.02)
@@ -205,6 +246,20 @@ class TestCurveCsv:
         for ours, theirs in zip(curve.points, parsed.points):
             assert ours.matrix == theirs.matrix
             assert ours.report == theirs.report
+
+    def test_shared_points_write_the_bytes_of_row_by_row_formatting(self, demo_samples):
+        curve = threshold_sweep(demo_samples, delta=0.0001)
+        buffer = io.StringIO()
+        write_curve_csv(curve, buffer)
+        lines = [",".join(("tau", *csvio.COUNT_COLUMNS, *METRIC_NAMES))]
+        for tau, (matrix, report) in zip(curve.keys, curve.points):
+            counts = (str(count) for count in (matrix.tp, matrix.fp, matrix.fn, matrix.tn))
+            values = (csvio.format_value(value) for value in report.as_dict().values())
+            lines.append(",".join((repr(tau), *counts, *values)))
+        written = buffer.getvalue().split("\n")
+        assert written[-1] == "" and len(written) == len(lines) + 1
+        for got, expected in zip(written, lines):
+            assert got == expected
 
     def test_undefined_round_trips_as_nan(self, tmp_path):
         curve = threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5)
