@@ -10,7 +10,7 @@ MCC-F1 and MCC-P4 planes.
 from .confusion import (
     ConfusionMatrix,
     Label,
-    ScoredSample,
+    ScoredSamples,
     classify_at_threshold,
     from_counts,
     parse_scored_csv,
@@ -85,7 +85,7 @@ __all__ = [
     "RangeMismatchError",
     "SIGNED_RANGE",
     "SampleParseError",
-    "ScoredSample",
+    "ScoredSamples",
     "SeriesPoint",
     "SimulationSpec",
     "UNIT_RANGE",

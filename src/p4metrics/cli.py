@@ -200,7 +200,7 @@ def main(argv=None) -> int:
         if getattr(args, "svg", False) and (args.out is None or Path(args.out).suffix.lower() == ".svg"):
             raise ValueError("--svg needs an --out path not ending in .svg, to write the chart beside it")
         args.handler(args)
-    except (P4MetricsError, ValueError, OSError) as exc:
+    except (P4MetricsError, ValueError, OverflowError, OSError) as exc:
         print(f"p4metrics: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import EmptyInputError, EmptyMatrixError, NegativeCountError, SampleParseError
 
@@ -90,39 +92,45 @@ def swap_labels(c: ConfusionMatrix) -> ConfusionMatrix:
 
 
 @dataclass(frozen=True)
-class ScoredSample:
-    """A classifier score in [0, 1] paired with the true label."""
+class ScoredSamples:
+    """Classifier scores in [0, 1] of the actual positives and negatives, each
+    class sorted ascending into a tuple once.  A score outside [0, 1] or NaN
+    raises ValueError, and no samples at all EmptyInputError."""
 
-    score: float
-    label: Label
+    positives: tuple[float, ...]
+    negatives: tuple[float, ...]
 
     def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {self.score!r}")
+        for name in ("positives", "negatives"):
+            scores = tuple(sorted(getattr(self, name)))
+            # a NaN may sort anywhere, but it makes the sum NaN
+            if scores and (math.isnan(sum(scores)) or scores[0] < 0.0 or scores[-1] > 1.0):
+                bad = next(score for score in scores if not 0.0 <= score <= 1.0)
+                raise ValueError(f"{name} score must be in [0, 1], got {bad!r}")
+            object.__setattr__(self, name, scores)
+        if not self.positives and not self.negatives:
+            raise EmptyInputError("no samples")
+
+    def __len__(self) -> int:
+        return len(self.positives) + len(self.negatives)
+
+    def matrix_at(self, tau: float) -> ConfusionMatrix:
+        """The matrix of calling a sample positive iff score > tau, in O(log n):
+        `bisect_right` counts the scores <= tau, the samples called negative."""
+        fn = bisect_right(self.positives, tau)
+        tn = bisect_right(self.negatives, tau)
+        return ConfusionMatrix(len(self.positives) - fn, len(self.negatives) - tn, fn, tn)
 
 
-def classify_at_threshold(samples: Sequence[ScoredSample], tau: float) -> ConfusionMatrix:
-    """Confusion matrix obtained by calling a sample positive iff score > tau.
+def classify_at_threshold(samples: ScoredSamples, tau: float) -> ConfusionMatrix:
+    """`samples.matrix_at(tau)` for a tau checked to lie in [0, 1], in O(log n).
 
     The comparison is strict, so tau=0 marks every sample with a nonzero
     score positive and tau=1 classifies everything negative.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau!r}")
-    if len(samples) == 0:
-        raise EmptyInputError("no samples to classify")
-    tp = fp = fn = tn = 0
-    for sample in samples:
-        if sample.score > tau:
-            if sample.label is Label.POSITIVE:
-                tp += 1
-            else:
-                fp += 1
-        elif sample.label is Label.POSITIVE:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionMatrix(tp, fp, fn, tn)
+    return samples.matrix_at(tau)
 
 
 _LABEL_ALIASES = {
@@ -141,46 +149,47 @@ def parse_label(text: str) -> Label:
     return label
 
 
-def read_scored_csv(path: str | Path) -> list[ScoredSample]:
+def read_scored_csv(path: str | Path) -> ScoredSamples:
     """Read a `score,label` CSV of scored samples, strictly.
 
     The header is required.  Scores must be decimals in [0, 1] and labels one
-    of 1/0/positive/negative (case-insensitive); anything else aborts with a
-    line-numbered SampleParseError.  A file with a header but no data rows
-    raises EmptyInputError.
+    of 1/0/positive/negative (case-insensitive); anything else, a field over
+    the csv module's size limit included, aborts with a line-numbered
+    SampleParseError.  A file with a header but no data rows raises
+    EmptyInputError.  Each class's scores are sorted once, in O(n log n).
     """
     with open(path, newline="") as fh:
         return parse_scored_csv(fh)
 
 
-def parse_scored_csv(lines: Iterable[str]) -> list[ScoredSample]:
+def parse_scored_csv(lines: Iterable[str]) -> ScoredSamples:
     reader = csv.reader(lines)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyInputError("file is empty") from None
-    if [column.strip().lower() for column in header] != ["score", "label"]:
-        raise SampleParseError(1, f"expected header 'score,label', got {','.join(header)!r}")
-
-    samples = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue  # blank line
-        if len(row) != 2:
-            raise SampleParseError(line_no, f"expected 2 fields, got {len(row)}")
-        score_text, label_text = row
         try:
-            score = float(score_text)
-        except ValueError:
-            raise SampleParseError(line_no, f"bad score {score_text!r}") from None
-        if not 0.0 <= score <= 1.0:
-            raise SampleParseError(line_no, f"score {score_text!r} outside [0, 1]")
-        try:
-            label = parse_label(label_text)
-        except ValueError:
-            raise SampleParseError(line_no, f"unknown label {label_text!r}") from None
-        samples.append(ScoredSample(score, label))
+            header = next(reader)
+        except StopIteration:
+            raise EmptyInputError("file is empty") from None
+        if [column.strip().lower() for column in header] != ["score", "label"]:
+            raise SampleParseError(1, f"expected header 'score,label', got {','.join(header)!r}")
 
-    if not samples:
-        raise EmptyInputError("no samples in file")
-    return samples
+        positives, negatives = [], []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue  # blank line
+            if len(row) != 2:
+                raise SampleParseError(line_no, f"expected 2 fields, got {len(row)}")
+            score_text, label_text = row
+            try:
+                score = float(score_text)
+            except ValueError:
+                raise SampleParseError(line_no, f"bad score {score_text!r}") from None
+            if not 0.0 <= score <= 1.0:
+                raise SampleParseError(line_no, f"score {score_text!r} outside [0, 1]")
+            try:
+                label = parse_label(label_text)
+            except ValueError:
+                raise SampleParseError(line_no, f"unknown label {label_text!r}") from None
+            (positives if label is Label.POSITIVE else negatives).append(score)
+    except csv.Error as exc:
+        raise SampleParseError(reader.line_num, str(exc)) from None
+    return ScoredSamples(positives, negatives)

@@ -71,27 +71,30 @@ def read_rows(path: str | Path) -> tuple[str | None, list[tuple[str, ConfusionMa
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("file is empty") from None
-        if header[-len(expected):] != expected or len(header) > len(expected) + 1:
-            raise CsvFormatError(f"unexpected header {header!r}")
-        key_column = header[0] if len(header) == len(expected) + 1 else None
-
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-            key = row.pop(0) if key_column is not None else ""
             try:
-                counts = [int(field) for field in row[:4]]
-            except ValueError:
-                raise CsvFormatError(f"line {line_no}: bad counts {row[:4]!r}") from None
-            values = {
-                name: _parse_metric(name, text, line_no)
-                for name, text in zip(METRIC_NAMES, row[4:])
-            }
-            rows.append((key, ConfusionMatrix(*counts), MetricReport(**values)))
+                header = next(reader)
+            except StopIteration:
+                raise CsvFormatError("file is empty") from None
+            if header[-len(expected):] != expected or len(header) > len(expected) + 1:
+                raise CsvFormatError(f"unexpected header {header!r}")
+            key_column = header[0] if len(header) == len(expected) + 1 else None
+
+            rows = []
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise CsvFormatError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+                key = row.pop(0) if key_column is not None else ""
+                try:
+                    counts = [int(field) for field in row[:4]]
+                except ValueError:
+                    raise CsvFormatError(f"line {line_no}: bad counts {row[:4]!r}") from None
+                values = {
+                    name: _parse_metric(name, text, line_no)
+                    for name, text in zip(METRIC_NAMES, row[4:])
+                }
+                rows.append((key, ConfusionMatrix(*counts), MetricReport(**values)))
+        except csv.Error as exc:
+            raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
     return key_column, rows

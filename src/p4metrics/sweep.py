@@ -11,14 +11,13 @@ and the optimal threshold is the grid point closest to the ideal corner
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from . import csvio
-from .confusion import ConfusionMatrix, Label, ScoredSample
-from .errors import BadGridError, CsvFormatError, EmptyInputError, NoDefinedPointsError
+from .confusion import ConfusionMatrix, ScoredSamples
+from .errors import BadGridError, CsvFormatError, NoDefinedPointsError
 from .metrics import MetricReport, MetricValue, evaluate_all
 
 PAIR_METRICS = ("f1", "p4")
@@ -112,30 +111,18 @@ def make_grid(tau0: float, tau_n: float, delta: float) -> tuple[float, ...]:
 
 
 def threshold_sweep(
-    samples: Sequence[ScoredSample],
+    samples: ScoredSamples,
     tau0: float = 0.0,
     tau_n: float = 1.0,
     delta: float = 0.01,
 ) -> MetricSeries:
     """Classify `samples` at every grid threshold and report all metrics.
 
-    Each class's scores are sorted once; at each tau, `bisect_right` counts
-    the scores <= tau, the samples called negative under the strict
-    `score > tau` rule of `classify_at_threshold`.  The sweep costs
-    O(n log n + G log n) for n samples and G taus.
+    Each tau counts with `samples.matrix_at`, the strict `score > tau` rule
+    of `classify_at_threshold`, in O(log n) on the scores the samples sorted
+    once, so G taus cost O(G log n).
     """
-    if len(samples) == 0:
-        raise EmptyInputError("no samples to sweep")
-    taus = make_grid(tau0, tau_n, delta)
-    positives = sorted(s.score for s in samples if s.label is Label.POSITIVE)
-    negatives = sorted(s.score for s in samples if s.label is not Label.POSITIVE)
-
-    def matrix_at(tau: float) -> ConfusionMatrix:
-        fn = bisect_right(positives, tau)
-        tn = bisect_right(negatives, tau)
-        return ConfusionMatrix(len(positives) - fn, len(negatives) - tn, fn, tn)
-
-    return build_series("tau", taus, matrix_at)
+    return build_series("tau", make_grid(tau0, tau_n, delta), samples.matrix_at)
 
 
 class PairedCurvePoint(NamedTuple):

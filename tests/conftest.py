@@ -1,9 +1,10 @@
+import csv
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from p4metrics import ConfusionMatrix, Label, ScoredSample, read_scored_csv
+from p4metrics import ConfusionMatrix, ScoredSamples, read_scored_csv
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DEMO_CSV = FIXTURES / "scored_demo.csv"
@@ -26,15 +27,20 @@ def matrices(draw, max_count=10**6):
     return ConfusionMatrix(tp, fp, fn, tn)
 
 
-@st.composite
-def scored_samples(draw, min_size=1, max_size=50):
-    scores = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-    labels = st.sampled_from(Label)
-    pairs = st.tuples(scores, labels)
-    return [ScoredSample(s, l) for s, l in draw(st.lists(pairs, min_size=min_size, max_size=max_size))]
+def samples_from(pairs):
+    """The ScoredSamples of `pairs` of (score, is_positive), the form tests/oracles.py takes."""
+    return ScoredSamples(
+        [score for score, is_positive in pairs if is_positive],
+        [score for score, is_positive in pairs if not is_positive],
+    )
 
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+def scored_pairs(min_size=1, max_size=50):
+    """Lists of (score, is_positive) pairs, for `samples_from` and the oracles."""
+    return st.lists(st.tuples(unit_floats, st.booleans()), min_size=min_size, max_size=max_size)
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +49,8 @@ def demo_samples():
 
 
 @pytest.fixture(scope="session")
-def demo_pairs(demo_samples):
-    """(score, is_positive) tuples for the oracle helpers."""
-    return [(s.score, s.label is Label.POSITIVE) for s in demo_samples]
+def demo_pairs():
+    """(score, is_positive) tuples of the demo fixture, read without the library."""
+    with open(DEMO_CSV, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return [(float(score), label == "positive") for score, label in rows]

@@ -14,8 +14,6 @@ import pytest
 import p4metrics
 from p4metrics import (
     ConfusionMatrix,
-    Label,
-    ScoredSample,
     SimulationSpec,
     balance_sweep,
     basic_rates,
@@ -35,7 +33,7 @@ from p4metrics import (
     youden,
 )
 from p4metrics.cli import main
-from conftest import DEMO_BEST, DEMO_CSV
+from conftest import DEMO_BEST, DEMO_CSV, samples_from
 import golden
 import oracles
 
@@ -256,13 +254,9 @@ def test_classification_agrees_with_naive_oracle_in_bulk():
     decisions = 0
     for _ in range(500):
         n = rng.randint(1, 50)
-        samples = [
-            ScoredSample(round(rng.random(), 3), rng.choice((Label.POSITIVE, Label.NEGATIVE)))
-            for _ in range(n)
-        ]
+        pairs = [(round(rng.random(), 3), rng.choice((True, False))) for _ in range(n)]
         tau = rng.choice((0.0, 1.0, round(rng.random(), 3)))
-        pairs = [(s.score, s.label is Label.POSITIVE) for s in samples]
-        c = classify_at_threshold(samples, tau)
+        c = classify_at_threshold(samples_from(pairs), tau)
         assert (c.tp, c.fp, c.fn, c.tn) == oracles.classify_counts(pairs, tau)
         decisions += n
     assert decisions >= 10_000

@@ -77,6 +77,21 @@ class TestEval:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
+    def test_counts_too_large_for_a_float_exit_2(self, capsys):
+        huge = str(10**84)
+        rc, out, err = run_cli(capsys, "eval", "--counts", f"{huge},5,5,{huge}")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("p4metrics: error: ") and err.count("\n") == 1
+
+    def test_oversized_score_field_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("score,label\n0." + "1" * 200_000 + ",1\n")
+        rc, out, err = run_cli(capsys, "eval", "--file", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("p4metrics: error: line 2: ") and err.count("\n") == 1
+
     def test_file_input_uses_default_tau(self, capsys):
         rc, out, _ = run_cli(capsys, "eval", "--file", str(DEMO_CSV))
         assert rc == 0

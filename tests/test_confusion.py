@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,14 +11,14 @@ from p4metrics import (
     Label,
     NegativeCountError,
     SampleParseError,
-    ScoredSample,
+    ScoredSamples,
     classify_at_threshold,
     from_counts,
     parse_scored_csv,
     read_scored_csv,
     swap_labels,
 )
-from conftest import DEMO_COUNTS_AT_HALF, matrices, scored_samples, unit_floats
+from conftest import DEMO_COUNTS_AT_HALF, matrices, samples_from, scored_pairs, unit_floats
 import oracles
 
 
@@ -77,26 +78,43 @@ class TestLabel:
             assert label.opposite is not label
 
 
-class TestScoredSample:
+class TestScoredSamples:
     def test_score_range_enforced(self):
         with pytest.raises(ValueError):
-            ScoredSample(1.5, Label.POSITIVE)
+            samples_from([(1.5, True)])
         with pytest.raises(ValueError):
-            ScoredSample(-0.1, Label.NEGATIVE)
+            samples_from([(-0.1, False)])
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5, -math.inf, math.inf])
+    def test_bad_score_rejected_in_each_class(self, bad):
+        with pytest.raises(ValueError, match="positives"):
+            ScoredSamples((0.2, bad, 0.7), (0.5,))
+        with pytest.raises(ValueError, match="negatives"):
+            ScoredSamples((0.5,), (0.2, bad, 0.7))
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(EmptyInputError):
+            ScoredSamples((), ())
+
+    def test_scores_come_back_sorted(self):
+        samples = ScoredSamples([0.7, 0.1, 0.4, 0.1], (1.0, 0.0, 0.5))
+        assert samples.positives == (0.1, 0.1, 0.4, 0.7)
+        assert samples.negatives == (0.0, 0.5, 1.0)
+        assert len(samples) == 7
 
 
 class TestClassifyAtThreshold:
     def test_separable_pair(self):
-        samples = [ScoredSample(0.9, Label.POSITIVE), ScoredSample(0.2, Label.NEGATIVE)]
+        samples = samples_from([(0.9, True), (0.2, False)])
         assert classify_at_threshold(samples, 0.5) == ConfusionMatrix(1, 0, 0, 1)
 
     def test_tau_one_classifies_all_negative(self):
-        samples = [ScoredSample(1.0, Label.POSITIVE), ScoredSample(0.3, Label.NEGATIVE)]
+        samples = samples_from([(1.0, True), (0.3, False)])
         c = classify_at_threshold(samples, 1.0)
         assert c.predicted_positives == 0
 
     def test_tau_zero_is_strict(self):
-        samples = [ScoredSample(0.0, Label.POSITIVE), ScoredSample(0.4, Label.NEGATIVE)]
+        samples = samples_from([(0.0, True), (0.4, False)])
         c = classify_at_threshold(samples, 0.0)
         # the zero-score sample is not above the threshold
         assert c.predicted_positives == 1
@@ -104,24 +122,24 @@ class TestClassifyAtThreshold:
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            classify_at_threshold([], 0.5)
+            ScoredSamples((), ())
 
     def test_tau_out_of_range(self):
         with pytest.raises(ValueError):
-            classify_at_threshold([ScoredSample(0.5, Label.POSITIVE)], 1.5)
+            classify_at_threshold(samples_from([(0.5, True)]), 1.5)
 
     def test_demo_fixture_at_half(self, demo_samples):
         c = classify_at_threshold(demo_samples, 0.5)
         assert (c.tp, c.fp, c.fn, c.tn) == DEMO_COUNTS_AT_HALF
 
-    @given(scored_samples(), unit_floats)
-    def test_agrees_with_naive_oracle(self, samples, tau):
-        pairs = [(s.score, s.label is Label.POSITIVE) for s in samples]
-        c = classify_at_threshold(samples, tau)
+    @given(scored_pairs(), unit_floats)
+    def test_agrees_with_naive_oracle(self, pairs, tau):
+        c = classify_at_threshold(samples_from(pairs), tau)
         assert (c.tp, c.fp, c.fn, c.tn) == oracles.classify_counts(pairs, tau)
 
-    @given(scored_samples(), unit_floats, unit_floats)
-    def test_monotone_in_threshold(self, samples, tau_a, tau_b):
+    @given(scored_pairs(), unit_floats, unit_floats)
+    def test_monotone_in_threshold(self, pairs, tau_a, tau_b):
+        samples = samples_from(pairs)
         lo, hi = min(tau_a, tau_b), max(tau_a, tau_b)
         assert (
             classify_at_threshold(samples, lo).predicted_positives
@@ -134,30 +152,24 @@ class TestClassifyAtThreshold:
         trials = 0
         for _ in range(600):
             n = rng.randint(1, 40)
-            samples = [
-                ScoredSample(round(rng.random(), 3), rng.choice((Label.POSITIVE, Label.NEGATIVE)))
-                for _ in range(n)
-            ]
+            pairs = [(round(rng.random(), 3), rng.choice((True, False))) for _ in range(n)]
             tau = rng.choice((0.0, 1.0, round(rng.random(), 3)))
-            pairs = [(s.score, s.label is Label.POSITIVE) for s in samples]
-            c = classify_at_threshold(samples, tau)
+            c = classify_at_threshold(samples_from(pairs), tau)
             assert (c.tp, c.fp, c.fn, c.tn) == oracles.classify_counts(pairs, tau)
             trials += n
         assert trials >= 10_000
 
 
 class TestScoredCsv:
-    def test_reads_demo_fixture(self, demo_samples):
+    def test_reads_demo_fixture(self, demo_samples, demo_pairs):
         assert len(demo_samples) == 200
-        positives = sum(1 for s in demo_samples if s.label is Label.POSITIVE)
-        assert positives == 60
+        assert len(demo_samples.positives) == 60
+        assert demo_samples == samples_from(demo_pairs)
 
     def test_label_aliases(self):
         text = ["score,label", "0.9,1", "0.1,0", "0.8,POSITIVE", "0.2,Negative"]
         samples = parse_scored_csv(text)
-        assert [s.label for s in samples] == [
-            Label.POSITIVE, Label.NEGATIVE, Label.POSITIVE, Label.NEGATIVE,
-        ]
+        assert samples == ScoredSamples((0.8, 0.9), (0.1, 0.2))
 
     def test_header_required(self):
         with pytest.raises(SampleParseError, match="header"):
@@ -186,6 +198,10 @@ class TestScoredCsv:
     def test_header_only(self):
         with pytest.raises(EmptyInputError):
             parse_scored_csv(["score,label"])
+
+    def test_oversized_field_is_line_numbered(self):
+        with pytest.raises(SampleParseError, match="line 3"):
+            parse_scored_csv(["score,label\n", "0.5,1\n", "0." + "1" * 200_000 + ",1\n"])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

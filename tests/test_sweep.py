@@ -10,9 +10,8 @@ from p4metrics import (
     ConfusionMatrix,
     CsvFormatError,
     EmptyInputError,
-    Label,
     NoDefinedPointsError,
-    ScoredSample,
+    ScoredSamples,
     evaluate_all,
     optimal_threshold,
     paired_curve,
@@ -24,22 +23,21 @@ from p4metrics import (
 from p4metrics import csvio, sweep
 from p4metrics.metrics import METRIC_NAMES
 from p4metrics.sweep import make_grid
-from conftest import DEMO_BEST, DEMO_COUNTS_AT_HALF, unit_floats
+from conftest import DEMO_BEST, DEMO_COUNTS_AT_HALF, samples_from, unit_floats
 import oracles
 
-SEPARABLE = [ScoredSample(0.9, Label.POSITIVE), ScoredSample(0.2, Label.NEGATIVE)]
+SEPARABLE = samples_from([(0.9, True), (0.2, False)])
 
 
 @st.composite
 def hard_sweeps(draw):
-    """(delta, samples) on an odd grid, with scores often tied and often equal
+    """(delta, pairs) on an odd grid, with scores often tied and often equal
     to a grid tau, and sometimes only one class."""
     delta = draw(st.sampled_from((0.03, 0.07, 0.013, 0.01, 0.3)))
     ties = draw(st.lists(unit_floats, min_size=1, max_size=3))
     scores = st.one_of(st.sampled_from(make_grid(0.0, 1.0, delta)), st.sampled_from(ties), unit_floats)
-    labels = draw(st.sampled_from(((Label.POSITIVE,), (Label.NEGATIVE,), tuple(Label))))
-    pairs = draw(st.lists(st.tuples(scores, st.sampled_from(labels)), min_size=1, max_size=60))
-    return delta, [ScoredSample(score, label) for score, label in pairs]
+    labels = draw(st.sampled_from(((True,), (False,), (True, False))))
+    return delta, draw(st.lists(st.tuples(scores, st.sampled_from(labels)), min_size=1, max_size=60))
 
 
 class TestMakeGrid:
@@ -82,7 +80,7 @@ class TestThresholdSweep:
         assert [p.matrix.predicted_positives for p in curve.points] == [2, 1, 0]
 
     def test_constant_scores_flip_at_half(self):
-        samples = [ScoredSample(0.5, Label.POSITIVE), ScoredSample(0.5, Label.NEGATIVE)]
+        samples = samples_from([(0.5, True), (0.5, False)])
         curve = threshold_sweep(samples, 0.0, 1.0, 0.25)
         matrices = [p.matrix for p in curve.points]
         assert matrices[0] == matrices[1]  # tau 0 and 0.25: everything positive
@@ -90,7 +88,7 @@ class TestThresholdSweep:
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            threshold_sweep([], 0.0, 1.0, 0.1)
+            ScoredSamples((), ())
 
     def test_demo_point_at_half_matches_oracle(self, demo_samples):
         curve = threshold_sweep(demo_samples)
@@ -113,9 +111,8 @@ class TestThresholdSweep:
     @settings(max_examples=200, deadline=None)
     @given(hard_sweeps())
     def test_matches_oracle_on_hard_inputs(self, case):
-        delta, samples = case
-        curve = threshold_sweep(samples, delta=delta)
-        pairs = [(s.score, s.label is Label.POSITIVE) for s in samples]
+        delta, pairs = case
+        curve = threshold_sweep(samples_from(pairs), delta=delta)
         assert curve.keys == make_grid(0.0, 1.0, delta)
         for tau, point in zip(curve.keys, curve.points):
             matrix = point.matrix
@@ -227,7 +224,7 @@ class TestOptimalThreshold:
 
     def test_no_defined_points(self):
         # one-class input: the true-negative margin is empty at every tau
-        samples = [ScoredSample(0.3, Label.POSITIVE), ScoredSample(0.8, Label.POSITIVE)]
+        samples = samples_from([(0.3, True), (0.8, True)])
         curve = threshold_sweep(samples, 0.0, 1.0, 0.25)
         with pytest.raises(NoDefinedPointsError):
             optimal_threshold(paired_curve(curve, "p4"))
@@ -295,4 +292,12 @@ class TestCurveCsv:
         with open(path, "w") as fh:
             csvio.write_rows(fh, [("C1", matrix, evaluate_all(matrix))], key_column="case")
         with pytest.raises(CsvFormatError):
+            read_curve_csv(path)
+
+    def test_oversized_field_rejected(self, tmp_path):
+        buffer = io.StringIO()
+        write_curve_csv(threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5), buffer)
+        path = tmp_path / "curve.csv"
+        path.write_text(buffer.getvalue() + "0." + "1" * 200_000 + ",1\n")
+        with pytest.raises(CsvFormatError, match="line 5"):
             read_curve_csv(path)
