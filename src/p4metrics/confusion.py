@@ -12,9 +12,11 @@ import enum
 import math
 import operator
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import EmptyInputError, EmptyMatrixError, NegativeCountError, SampleParseError
 
@@ -91,35 +93,63 @@ def swap_labels(c: ConfusionMatrix) -> ConfusionMatrix:
     return ConfusionMatrix(tp=c.tn, fp=c.fn, fn=c.fp, tn=c.tp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScoredSamples:
-    """Classifier scores in [0, 1] of the actual positives and negatives, each
-    class sorted ascending into a tuple once.  A score outside [0, 1] or NaN
-    raises ValueError, and no samples at all EmptyInputError."""
+    """Classifier scores in [0, 1] of the actual positives and negatives, kept
+    per class as a staircase: the distinct scores in ascending order, and the
+    cumulative number of samples scoring at or below each one, after a leading
+    0.  Memory is O(distinct scores), not O(n).
 
-    positives: tuple[float, ...]
-    negatives: tuple[float, ...]
+    `ScoredSamples(positives, negatives)` takes each class's scores and
+    `ScoredSamples.from_tallies` each class's score -> count mapping; equal
+    floats (0.5 and 0.50) are one step.  A score outside [0, 1] or NaN raises
+    ValueError, and no samples at all EmptyInputError.
+    """
 
-    def __post_init__(self):
-        for name in ("positives", "negatives"):
-            scores = tuple(sorted(getattr(self, name)))
+    positive_scores: tuple[float, ...]
+    positive_cumulative: tuple[int, ...]
+    negative_scores: tuple[float, ...]
+    negative_cumulative: tuple[int, ...]
+
+    def __init__(self, positives: Iterable[float], negatives: Iterable[float]):
+        self._build(Counter(positives), Counter(negatives))
+
+    @classmethod
+    def from_tallies(cls, positives: Mapping[float, int], negatives: Mapping[float, int]) -> "ScoredSamples":
+        """Build from each class's tally, which maps each distinct score to
+        the number of samples, at least 1, that have it."""
+        samples = cls.__new__(cls)
+        samples._build(positives, negatives)
+        return samples
+
+    def _build(self, positives: Mapping[float, int], negatives: Mapping[float, int]) -> None:
+        for name, tally in (("positive", positives), ("negative", negatives)):
+            scores = sorted(tally)
             # a NaN may sort anywhere, but it makes the sum NaN
             if scores and (math.isnan(sum(scores)) or scores[0] < 0.0 or scores[-1] > 1.0):
                 bad = next(score for score in scores if not 0.0 <= score <= 1.0)
-                raise ValueError(f"{name} score must be in [0, 1], got {bad!r}")
-            object.__setattr__(self, name, scores)
-        if not self.positives and not self.negatives:
+                raise ValueError(f"{name}s score must be in [0, 1], got {bad!r}")
+            if scores and min(tally.values()) < 1:
+                raise ValueError(f"{name}s score counts must be positive, got {min(tally.values())!r}")
+            object.__setattr__(self, f"{name}_scores", tuple(scores))
+            if sum(tally.values()) == len(scores):
+                cumulative = range(len(scores) + 1)  # every count is 1
+            else:
+                cumulative = accumulate(map(tally.__getitem__, scores), initial=0)
+            object.__setattr__(self, f"{name}_cumulative", tuple(cumulative))
+        if len(self) == 0:
             raise EmptyInputError("no samples")
 
     def __len__(self) -> int:
-        return len(self.positives) + len(self.negatives)
+        return self.positive_cumulative[-1] + self.negative_cumulative[-1]
 
     def matrix_at(self, tau: float) -> ConfusionMatrix:
-        """The matrix of calling a sample positive iff score > tau, in O(log n):
-        `bisect_right` counts the scores <= tau, the samples called negative."""
-        fn = bisect_right(self.positives, tau)
-        tn = bisect_right(self.negatives, tau)
-        return ConfusionMatrix(len(self.positives) - fn, len(self.negatives) - tn, fn, tn)
+        """The matrix of calling a sample positive iff score > tau, in O(log D)
+        for D distinct scores: `bisect_right` finds the step of the scores
+        <= tau, and its cumulative count is the samples called negative."""
+        fn = self.positive_cumulative[bisect_right(self.positive_scores, tau)]
+        tn = self.negative_cumulative[bisect_right(self.negative_scores, tau)]
+        return ConfusionMatrix(self.positive_cumulative[-1] - fn, self.negative_cumulative[-1] - tn, fn, tn)
 
 
 def classify_at_threshold(samples: ScoredSamples, tau: float) -> ConfusionMatrix:
@@ -132,6 +162,11 @@ def classify_at_threshold(samples: ScoredSamples, tau: float) -> ConfusionMatrix
         raise ValueError(f"tau must be in [0, 1], got {tau!r}")
     return samples.matrix_at(tau)
 
+
+# lines a scored CSV is read and counted by at a time
+_CHUNK_LINES = 65_536
+# each class's score -> count tally, keyed by is_positive
+_Tallies = dict[bool, dict[float, int]]
 
 _LABEL_ALIASES = {
     "1": Label.POSITIVE,
@@ -154,42 +189,94 @@ def read_scored_csv(path: str | Path) -> ScoredSamples:
 
     The header is required.  Scores must be decimals in [0, 1] and labels one
     of 1/0/positive/negative (case-insensitive); anything else, a field over
-    the csv module's size limit included, aborts with a line-numbered
-    SampleParseError.  A file with a header but no data rows raises
-    EmptyInputError.  Each class's scores are sorted once, in O(n log n).
+    the csv module's size limit included, aborts with a SampleParseError that
+    names the first bad physical line.  A file with a header but no data rows
+    raises EmptyInputError.
+
+    Lines are read in chunks and counted, and each distinct line is checked
+    once, so parsing costs O(n) hashing plus O(D log D) for D distinct scores,
+    and memory is O(D) plus one chunk.  From the first chunk holding a `"`
+    on, the rest of the file goes through one `csv.reader`, whose rows are
+    counted instead, since a quoted field may span lines.
     """
     with open(path, newline="") as fh:
         return parse_scored_csv(fh)
 
 
 def parse_scored_csv(lines: Iterable[str]) -> ScoredSamples:
+    lines = iter(lines)
     reader = csv.reader(lines)
     try:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInputError("file is empty") from None
-        if [column.strip().lower() for column in header] != ["score", "label"]:
-            raise SampleParseError(1, f"expected header 'score,label', got {','.join(header)!r}")
-
-        positives, negatives = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue  # blank line
-            if len(row) != 2:
-                raise SampleParseError(line_no, f"expected 2 fields, got {len(row)}")
-            score_text, label_text = row
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise SampleParseError(line_no, f"bad score {score_text!r}") from None
-            if not 0.0 <= score <= 1.0:
-                raise SampleParseError(line_no, f"score {score_text!r} outside [0, 1]")
-            try:
-                label = parse_label(label_text)
-            except ValueError:
-                raise SampleParseError(line_no, f"unknown label {label_text!r}") from None
-            (positives if label is Label.POSITIVE else negatives).append(score)
+        header = next(reader)
+    except StopIteration:
+        raise EmptyInputError("file is empty") from None
     except csv.Error as exc:
         raise SampleParseError(reader.line_num, str(exc)) from None
-    return ScoredSamples(positives, negatives)
+    if [column.strip().lower() for column in header] != ["score", "label"]:
+        raise SampleParseError(1, f"expected header 'score,label', got {','.join(header)!r}")
+
+    tallies: _Tallies = {True: {}, False: {}}
+    first_line = reader.line_num + 1  # the physical number of the chunk's first line
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        counted = Counter(chunk)
+        if '"' in "".join(counted):
+            _tally_quoted(chain(chunk, lines), first_line - 1, tallies)
+            break
+        # without a quote, every line is one record: parse each distinct one once
+        _tally_rows(counted, csv.reader(counted), lambda line: first_line + chunk.index(line), tallies)
+        first_line += len(chunk)
+    return ScoredSamples.from_tallies(tallies[True], tallies[False])
+
+
+def _tally_quoted(lines: Iterator[str], lines_before: int, tallies: _Tallies) -> None:
+    """Count the rows of one `csv.reader` over `lines` as tuples, a chunk at a
+    time; a bad row is numbered by the reader's count of physical lines."""
+    reader = csv.reader(lines)
+    while True:
+        chunk, ends, error = [], [], None
+        try:
+            for row in islice(reader, _CHUNK_LINES):
+                chunk.append(tuple(row))
+                ends.append(reader.line_num)
+        except csv.Error as exc:
+            error = exc  # after the rows before it, in file order
+        counted = Counter(chunk)
+        _tally_rows(counted, iter(counted), lambda row: lines_before + ends[chunk.index(row)], tallies)
+        if error is not None:
+            raise SampleParseError(lines_before + reader.line_num, str(error))
+        if len(chunk) < _CHUNK_LINES:
+            return
+
+
+def _tally_rows(
+    counted: Counter, rows: Iterator[Sequence[str]], line_of: Callable[[object], int], tallies: _Tallies
+) -> None:
+    """Check `rows`, the row of each distinct key of `counted` in first-occurrence
+    order, and add the key's count to its class's score tally.  The first bad
+    row, or csv.Error from `rows`, raises SampleParseError at `line_of(key)`."""
+    for key, count in counted.items():
+        try:
+            checked = _check_row(next(rows))
+        except (ValueError, csv.Error) as exc:
+            raise SampleParseError(line_of(key), str(exc)) from None
+        if checked is not None:
+            score, is_positive = checked
+            tally = tallies[is_positive]
+            tally[score] = tally.get(score, 0) + count
+
+
+def _check_row(row: Sequence[str]) -> tuple[float, bool] | None:
+    """(score, is_positive) of one data row, or None for a blank line; a bad
+    row raises ValueError."""
+    if not row:
+        return None
+    if len(row) != 2:
+        raise ValueError(f"expected 2 fields, got {len(row)}")
+    score_text, label_text = row
+    try:
+        score = float(score_text)
+    except ValueError:
+        raise ValueError(f"bad score {score_text!r}") from None
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"score {score_text!r} outside [0, 1]")
+    return score, parse_label(label_text) is Label.POSITIVE

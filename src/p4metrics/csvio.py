@@ -80,7 +80,8 @@ def read_rows(path: str | Path) -> tuple[str | None, list[tuple[str, ConfusionMa
             key_column = header[0] if len(header) == len(expected) + 1 else None
 
             rows = []
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
+                line_no = reader.line_num  # physical: a quoted field may span lines
                 if not row:
                     continue
                 if len(row) != len(header):

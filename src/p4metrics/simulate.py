@@ -2,15 +2,16 @@
 
 A simulated classifier is plain rate arithmetic: fix the population size, the
 positive fraction, and the per-class accuracy rates, and the confusion matrix
-follows.  Rounding is half away from zero, applied first to the number of
-actual positives and then to tp and tn, with fn and fp as exact remainders;
-this scheme reproduces the reference matrices C1..C4 bit-exactly.
+follows.  Rounding is half away from zero, exact on each rate's decimal
+value as written, applied first to the number of actual positives and then
+to tp and tn, with fn and fp as exact remainders; this scheme reproduces the
+reference matrices C1..C4 bit-exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Sequence
 
 from .confusion import ConfusionMatrix
@@ -38,9 +39,12 @@ class SimulationSpec:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
-def _round_half_up(x: float) -> int:
-    # half away from zero; inputs here are always non-negative
-    return math.floor(x + 0.5)
+def _round_half_up(rate: float, count: int) -> int:
+    """round(rate * count), half away from zero, in integers on the decimal
+    value of `rate` as written: the float product can land just below a half
+    (0.57 * 1750 is 997.4999999999999) or lose a unit past 2**53."""
+    p, q = Decimal(str(rate)).as_integer_ratio()
+    return (2 * p * count + q) // (2 * q)
 
 
 def confusion_from_rates(spec: SimulationSpec) -> ConfusionMatrix:
@@ -51,15 +55,15 @@ def confusion_from_rates(spec: SimulationSpec) -> ConfusionMatrix:
     remainders.  Raises DegeneratePopulationError when rounding leaves no
     actual positives or no actual negatives.
     """
-    actual_positives = _round_half_up(spec.pos_fraction * spec.population)
+    actual_positives = _round_half_up(spec.pos_fraction, spec.population)
     actual_negatives = spec.population - actual_positives
     if actual_positives == 0 or actual_negatives == 0:
         raise DegeneratePopulationError(
             f"population {spec.population} with pos_fraction {spec.pos_fraction} "
             f"leaves {actual_positives} positives / {actual_negatives} negatives"
         )
-    tp = _round_half_up(spec.tpr * actual_positives)
-    tn = _round_half_up(spec.tnr * actual_negatives)
+    tp = _round_half_up(spec.tpr, actual_positives)
+    tn = _round_half_up(spec.tnr, actual_negatives)
     return ConfusionMatrix(tp=tp, fp=actual_negatives - tn, fn=actual_positives - tp, tn=tn)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
@@ -35,6 +34,11 @@ class PlotSpec:
     series: tuple[Series, ...]
     width: int = 720
     height: int = 480
+
+
+def _escape(text: str) -> str:
+    # `&` first, so the entities of the other two are not escaped again
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _bounds(values: list[float]) -> tuple[float, float]:
@@ -66,7 +70,7 @@ def render_line_chart(spec: PlotSpec) -> str:
         f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
         f'<rect width="{spec.width}" height="{spec.height}" fill="white"/>',
         f'<text x="{spec.width / 2:.1f}" y="20" font-family="sans-serif" font-size="14" '
-        f'text-anchor="middle">{escape(spec.title)}</text>',
+        f'text-anchor="middle">{_escape(spec.title)}</text>',
     ]
 
     axis_y = _MARGIN_TOP + plot_h
@@ -94,10 +98,10 @@ def render_line_chart(spec: PlotSpec) -> str:
 
     parts.append(
         f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{spec.height - 8}" font-family="sans-serif" '
-        f'font-size="12" text-anchor="middle">{escape(spec.x_label)}</text>'
+        f'font-size="12" text-anchor="middle">{_escape(spec.x_label)}</text>'
         f'<text x="14" y="{_MARGIN_TOP + plot_h / 2:.1f}" font-family="sans-serif" font-size="12" '
         f'text-anchor="middle" transform="rotate(-90 14 {_MARGIN_TOP + plot_h / 2:.1f})">'
-        f"{escape(spec.y_label)}</text>"
+        f"{_escape(spec.y_label)}</text>"
     )
 
     for index, series in enumerate(spec.series):
@@ -126,7 +130,7 @@ def render_line_chart(spec: PlotSpec) -> str:
             f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 22}" y2="{y}" '
             f'stroke="{color}" stroke-width="2"/>'
             f'<text x="{legend_x + 28}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="11">{escape(series.name)}</text>'
+            f'font-size="11">{_escape(series.name)}</text>'
         )
 
     parts.append("</svg>")

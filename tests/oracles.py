@@ -1,12 +1,14 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive and kept separate from the library:
-classification is a per-sample if/elif tally, and metric values are computed
-with 50-digit Decimal arithmetic from the component rates (harmonic-mean
-route) instead of the integer closed forms the library uses.  Agreement
-between the two routes is the point of the tests.
+classification is a per-sample if/elif tally, a scored CSV is parsed one
+`csv.reader` row at a time, and metric values are computed with 50-digit
+Decimal arithmetic from the component rates (harmonic-mean route) instead of
+the integer closed forms the library uses.  Agreement between the two routes
+is the point of the tests.
 """
 
+import csv
 from decimal import Decimal, getcontext
 
 getcontext().prec = 50
@@ -117,3 +119,40 @@ def best_threshold(taus, pairs, y_name):
         if best is None or distance < best[1]:
             best = (tau, distance)
     return best
+
+
+_LABELS = {"1": True, "positive": True, "0": False, "negative": False}
+
+
+def parse_scored_rows(lines):
+    """Parse the data rows of a `score,label` CSV one `csv.reader` row at a time.
+
+    The first line must be the header `score,label`.  Returns ("ok", pairs),
+    the (score, is_positive) pair of every non-blank row, or ("error", line,
+    message) for the first bad row, where line is the physical line the
+    reader has read up to when the row (or the csv error) ends.
+    """
+    reader = csv.reader(lines)
+    assert next(reader) == ["score", "label"]
+    pairs = []
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return "ok", pairs
+        except csv.Error as exc:
+            return "error", reader.line_num, str(exc)
+        if not row:
+            continue
+        if len(row) != 2:
+            return "error", reader.line_num, f"expected 2 fields, got {len(row)}"
+        score_text, label_text = row
+        try:
+            score = float(score_text)
+        except ValueError:
+            return "error", reader.line_num, f"bad score {score_text!r}"
+        if not 0.0 <= score <= 1.0:
+            return "error", reader.line_num, f"score {score_text!r} outside [0, 1]"
+        if label_text.strip().lower() not in _LABELS:
+            return "error", reader.line_num, f"unknown label {label_text!r}"
+        pairs.append((score, _LABELS[label_text.strip().lower()]))

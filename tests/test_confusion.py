@@ -1,8 +1,11 @@
+import csv
+import io
 import math
 import random
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from p4metrics import (
     ConfusionMatrix,
@@ -18,6 +21,7 @@ from p4metrics import (
     read_scored_csv,
     swap_labels,
 )
+from p4metrics import confusion
 from conftest import DEMO_COUNTS_AT_HALF, matrices, samples_from, scored_pairs, unit_floats
 import oracles
 
@@ -96,10 +100,29 @@ class TestScoredSamples:
         with pytest.raises(EmptyInputError):
             ScoredSamples((), ())
 
+    def test_from_tallies_equals_the_scores_it_counts(self):
+        samples = ScoredSamples.from_tallies({0.4: 1, 0.1: 2}, {0.5: 1})
+        assert samples == ScoredSamples([0.1, 0.4, 0.1], [0.5])
+        assert samples.positive_cumulative == (0, 2, 3)
+        assert len(samples) == 4
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5, math.inf])
+    def test_from_tallies_rejects_a_bad_score(self, bad):
+        with pytest.raises(ValueError, match="negatives"):
+            ScoredSamples.from_tallies({0.5: 1}, {0.2: 1, bad: 3})
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_from_tallies_rejects_a_count_below_one(self, count):
+        with pytest.raises(ValueError, match="positives"):
+            ScoredSamples.from_tallies({0.5: count}, {0.2: 1})
+
     def test_scores_come_back_sorted(self):
         samples = ScoredSamples([0.7, 0.1, 0.4, 0.1], (1.0, 0.0, 0.5))
-        assert samples.positives == (0.1, 0.1, 0.4, 0.7)
-        assert samples.negatives == (0.0, 0.5, 1.0)
+        # the sorted positives (0.1, 0.1, 0.4, 0.7) as a staircase
+        assert samples.positive_scores == (0.1, 0.4, 0.7)
+        assert samples.positive_cumulative == (0, 2, 3, 4)
+        assert samples.negative_scores == (0.0, 0.5, 1.0)
+        assert samples.negative_cumulative == (0, 1, 2, 3)
         assert len(samples) == 7
 
 
@@ -160,16 +183,98 @@ class TestClassifyAtThreshold:
         assert trials >= 10_000
 
 
+# rows for generated scored CSV text: duplicates, quoted fields, quoted line
+# ends, blank lines and, in BAD_ROWS, one row of each kind of error (the last
+# is over a field size limit of 24)
+GOOD_ROWS = (
+    "0.5,1", "0.50,positive", "0,0", "1,NEGATIVE", ".25, 1 ", " 1e-1,0", "",
+    '"0.5",1', '0.25,"0"', '"0.75","positive"', '0.75,"1\n"', '"1","0\r\n"', '0.5,"1\r"',
+)
+BAD_ROWS = (
+    "bad,1", "1.5,0", "-0.1,1", "nan,1", "0.5,maybe", "0.5,1,extra", "0.5", " ",
+    '"0.5,1"', '0.5,"2\n"', "0." + "1" * 30 + ",1",
+)
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def scored_csv_texts(draw):
+    """Scored CSV text: up to 16 rows repeating a few good rows, then, in
+    some texts, up to 8 that also repeat a few bad rows; each row drawn with
+    its own line end."""
+
+    def rows(pool, max_size):
+        ended_row = st.tuples(st.sampled_from(pool), st.sampled_from(LINE_ENDS))
+        palette = draw(st.lists(ended_row, min_size=1, max_size=3))
+        return draw(st.lists(st.sampled_from(palette), max_size=max_size))
+
+    lines = rows(GOOD_ROWS, 16)
+    if draw(st.booleans()):
+        lines += rows(GOOD_ROWS + BAD_ROWS, 8)
+    text = draw(st.sampled_from(["score,label", '"score","label"'])) + "\n"
+    text += "".join(row + end for row, end in lines)
+    if lines and draw(st.booleans()):
+        text = text[: -len(lines[-1][1])]  # no line end after the last row
+    return text
+
+
 class TestScoredCsv:
     def test_reads_demo_fixture(self, demo_samples, demo_pairs):
         assert len(demo_samples) == 200
-        assert len(demo_samples.positives) == 60
+        assert demo_samples.positive_cumulative[-1] == 60
         assert demo_samples == samples_from(demo_pairs)
 
     def test_label_aliases(self):
         text = ["score,label", "0.9,1", "0.1,0", "0.8,POSITIVE", "0.2,Negative"]
         samples = parse_scored_csv(text)
         assert samples == ScoredSamples((0.8, 0.9), (0.1, 0.2))
+        assert (samples.positive_scores, samples.positive_cumulative) == ((0.8, 0.9), (0, 1, 2))
+        assert (samples.negative_scores, samples.negative_cumulative) == ((0.1, 0.2), (0, 1, 2))
+
+    def test_equal_scores_are_one_step(self):
+        samples = parse_scored_csv(["score,label", "0.5,1", "0.50,positive", "0.5,0", "5e-1,0"])
+        assert (samples.positive_scores, samples.positive_cumulative) == ((0.5,), (0, 2))
+        assert (samples.negative_scores, samples.negative_cumulative) == ((0.5,), (0, 2))
+
+    def test_quoted_newline_keeps_physical_line_numbers(self):
+        # the score "0.5\n" is quoted across lines 2-3, so the bad row is on line 4
+        lines = io.StringIO('score,label\n"0.5\n",1\nbad,1\n', newline="")
+        with pytest.raises(SampleParseError, match="line 4: bad score 'bad'"):
+            parse_scored_csv(lines)
+
+    @pytest.mark.parametrize("first_row", ["0.5,1", '"0.5",1'])
+    def test_a_bad_row_before_a_csv_error_is_reported_first(self, first_row):
+        oversized = "0." + "1" * 200_000 + ",1"
+        lines = io.StringIO(f"score,label\n{first_row}\nbad,1\n{oversized}\n", newline="")
+        with pytest.raises(SampleParseError, match="line 3: bad score 'bad'"):
+            parse_scored_csv(lines)
+
+    @settings(max_examples=300)
+    @given(scored_csv_texts(), st.integers(min_value=1, max_value=3))
+    def test_counting_parse_agrees_with_row_by_row_oracle(self, text, chunk_lines):
+        limit = csv.field_size_limit(24)
+        try:
+            expected = oracles.parse_scored_rows(io.StringIO(text, newline=""))
+            with patch.object(confusion, "_CHUNK_LINES", chunk_lines):
+                if expected[0] == "error":
+                    _, line, message = expected
+                    with pytest.raises(SampleParseError) as info:
+                        parse_scored_csv(io.StringIO(text, newline=""))
+                    assert (info.value.line, str(info.value)) == (line, f"line {line}: {message}")
+                    return
+                pairs = expected[1]
+                if not pairs:
+                    with pytest.raises(EmptyInputError):
+                        parse_scored_csv(io.StringIO(text, newline=""))
+                    return
+                samples = parse_scored_csv(io.StringIO(text, newline=""))
+        finally:
+            csv.field_size_limit(limit)
+        assert len(samples) == len(pairs)
+        scores = sorted({score for score, _ in pairs})
+        midpoints = [(a + b) / 2 for a, b in zip(scores, scores[1:])]
+        for tau in [0.0, 1.0, *scores, *midpoints]:
+            assert samples.matrix_at(tau) == ConfusionMatrix(*oracles.classify_counts(pairs, tau))
 
     def test_header_required(self):
         with pytest.raises(SampleParseError, match="header"):

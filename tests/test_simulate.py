@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -55,6 +56,19 @@ class TestConfusionFromRates:
         matrix = confusion_from_rates(SimulationSpec(10, 0.25, 1.0, 1.0))
         assert matrix.actual_positives == 3
 
+    def test_rounds_the_decimal_fraction_not_the_float_product(self):
+        # 0.57 * 1750 is 997.4999999999999 in float; 997.5 rounds up to 998
+        assert confusion_from_rates(SimulationSpec(1750, 0.57, 0.5, 0.5)).actual_positives == 998
+        series = balance_sweep(1750, 0.5, 0.5)
+        assert series.keys[56] == 0.57 and series.points[56].matrix.actual_positives == 998
+        # the exact binary value of 0.15 is below 0.15, yet 0.15 * 10 = 1.5 rounds to 2
+        assert confusion_from_rates(SimulationSpec(10, 0.15, 1.0, 1.0)).actual_positives == 2
+
+    def test_rounds_exactly_past_two_to_the_53(self):
+        matrix = confusion_from_rates(SimulationSpec(2**53 + 1, 0.5, 1.0, 1.0))
+        assert matrix.actual_positives == 2**52 + 1
+        assert matrix.actual_negatives == 2**52
+
     def test_degenerate_population(self):
         with pytest.raises(DegeneratePopulationError):
             confusion_from_rates(SimulationSpec(10_000, 0.00004, 0.9, 0.9))
@@ -71,7 +85,8 @@ class TestConfusionFromRates:
             matrix = confusion_from_rates(spec)
         except DegeneratePopulationError:
             return
-        expected_positives = math.floor(fraction * population + 0.5)
+        # half up on the fraction's decimal value, not on a float product
+        expected_positives = math.floor(Decimal(repr(fraction)) * population + Decimal("0.5"))
         assert matrix.actual_positives == expected_positives
         assert matrix.actual_negatives == population - expected_positives
         assert matrix.population == population

@@ -294,6 +294,17 @@ class TestCurveCsv:
         with pytest.raises(CsvFormatError):
             read_curve_csv(path)
 
+    def test_quoted_newline_keeps_physical_line_numbers(self, tmp_path):
+        matrix = ConfusionMatrix(1, 2, 3, 4)
+        path = tmp_path / "cases.csv"
+        with open(path, "w", newline="") as fh:
+            # the key "C\n1" is quoted across lines 2-3, so the bad row is on line 4
+            csvio.write_rows(fh, [("C\n1", matrix, evaluate_all(matrix))], key_column="case")
+            fh.write("C2,1\n")
+        assert path.read_text().split("\n")[3] == "C2,1"
+        with pytest.raises(CsvFormatError, match="line 4: expected"):
+            csvio.read_rows(path)
+
     def test_oversized_field_rejected(self, tmp_path):
         buffer = io.StringIO()
         write_curve_csv(threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5), buffer)
