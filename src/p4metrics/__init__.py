@@ -9,10 +9,8 @@ MCC-F1 and MCC-P4 planes.
 
 from .confusion import (
     ConfusionMatrix,
-    Label,
     ScoredSamples,
     classify_at_threshold,
-    from_counts,
     parse_scored_csv,
     read_scored_csv,
     swap_labels,
@@ -54,10 +52,8 @@ from .simulate import (
 from .sweep import (
     MetricSeries,
     OptimalThreshold,
-    PairedCurvePoint,
     SeriesPoint,
     optimal_threshold,
-    paired_curve,
     read_curve_csv,
     threshold_sweep,
     write_curve_csv,
@@ -73,7 +69,6 @@ __all__ = [
     "DegeneratePopulationError",
     "EmptyInputError",
     "EmptyMatrixError",
-    "Label",
     "MetricReport",
     "MetricSeries",
     "MetricValue",
@@ -81,7 +76,6 @@ __all__ = [
     "NoDefinedPointsError",
     "OptimalThreshold",
     "P4MetricsError",
-    "PairedCurvePoint",
     "RangeMismatchError",
     "SIGNED_RANGE",
     "SampleParseError",
@@ -96,12 +90,10 @@ __all__ = [
     "edge_cases",
     "evaluate_all",
     "f1",
-    "from_counts",
     "markedness",
     "mcc",
     "optimal_threshold",
     "p4",
-    "paired_curve",
     "parse_scored_csv",
     "read_curve_csv",
     "read_scored_csv",

@@ -138,7 +138,7 @@ def cmd_sweep(args) -> None:
     samples = read_scored_csv(args.file)
     curve = sweep.threshold_sweep(samples, delta=args.delta)
     pairs = list(sweep.PAIR_METRICS) if args.pair == "both" else [args.pair.removeprefix("mcc-")]
-    optima = [sweep.optimal_threshold(sweep.paired_curve(curve, y_metric)) for y_metric in pairs]
+    optima = [sweep.optimal_threshold(curve, y_metric) for y_metric in pairs]
     lines = [(f"MCC'-{y_metric.upper()}", "mcc_scaled", y_metric) for y_metric in pairs]
     _emit_series(curve, args, lines, f"paired metric curves ({Path(args.file).name})", "MCC'", "F1 / P4")
     for best in optima:

@@ -8,7 +8,6 @@ and all operations are pure functions.
 from __future__ import annotations
 
 import csv
-import enum
 import math
 import operator
 from bisect import bisect_right
@@ -19,17 +18,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import EmptyInputError, EmptyMatrixError, NegativeCountError, SampleParseError
-
-
-class Label(enum.Enum):
-    """Binary class label; `opposite` is an involution."""
-
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-
-    @property
-    def opposite(self) -> "Label":
-        return Label.NEGATIVE if self is Label.POSITIVE else Label.POSITIVE
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,11 +65,6 @@ class ConfusionMatrix:
     @property
     def population(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
-
-
-def from_counts(tp: int, fp: int, fn: int, tn: int) -> ConfusionMatrix:
-    """Build a validated ConfusionMatrix from the four counts."""
-    return ConfusionMatrix(tp, fp, fn, tn)
 
 
 def swap_labels(c: ConfusionMatrix) -> ConfusionMatrix:
@@ -168,20 +151,17 @@ _CHUNK_LINES = 65_536
 # each class's score -> count tally, keyed by is_positive
 _Tallies = dict[bool, dict[float, int]]
 
-_LABEL_ALIASES = {
-    "1": Label.POSITIVE,
-    "positive": Label.POSITIVE,
-    "0": Label.NEGATIVE,
-    "negative": Label.NEGATIVE,
-}
+_LABEL_ALIASES = {"1": True, "positive": True, "0": False, "negative": False}
 
 
-def parse_label(text: str) -> Label:
-    """Parse `1`/`0`/`positive`/`negative` (case-insensitive) into a Label."""
-    label = _LABEL_ALIASES.get(text.strip().lower())
-    if label is None:
+def parse_label(text: str) -> bool:
+    """Whether `1`/`0`/`positive`/`negative` (case-insensitive, surrounding
+    whitespace ignored) names the positive class; anything else raises
+    ValueError."""
+    is_positive = _LABEL_ALIASES.get(text.strip().lower())
+    if is_positive is None:
         raise ValueError(f"unknown label {text!r}")
-    return label
+    return is_positive
 
 
 def read_scored_csv(path: str | Path) -> ScoredSamples:
@@ -279,4 +259,4 @@ def _check_row(row: Sequence[str]) -> tuple[float, bool] | None:
         raise ValueError(f"bad score {score_text!r}") from None
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"score {score_text!r} outside [0, 1]")
-    return score, parse_label(label_text) is Label.POSITIVE
+    return score, parse_label(label_text)

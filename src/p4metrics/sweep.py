@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
+from typing import Callable, NamedTuple, Sequence, TextIO
 
 from . import csvio
 from .confusion import ConfusionMatrix, ScoredSamples
 from .errors import BadGridError, CsvFormatError, NoDefinedPointsError
-from .metrics import MetricReport, MetricValue, evaluate_all
+from .metrics import MetricReport, evaluate_all
 
 PAIR_METRICS = ("f1", "p4")
 # Series key columns, each with whether its values may reach 0 and 1: a
@@ -125,36 +125,6 @@ def threshold_sweep(
     return build_series("tau", make_grid(tau0, tau_n, delta), samples.matrix_at)
 
 
-class PairedCurvePoint(NamedTuple):
-    """One threshold's position in the (scaled MCC, F1-or-P4) unit square."""
-
-    tau: float
-    x: MetricValue
-    y: MetricValue
-    pair: str
-
-    @property
-    def is_defined(self) -> bool:
-        return self.x.is_defined and self.y.is_defined
-
-
-def paired_curve(curve: MetricSeries, y_metric: str) -> list[PairedCurvePoint]:
-    """Project a threshold curve onto x = scaled MCC, y = `y_metric`.
-
-    Points with an undefined coordinate are kept (for export) but flag
-    themselves via `is_defined`.
-    """
-    if curve.key_column != "tau":
-        raise ValueError(f"paired curves need a tau-keyed series, got {curve.key_column!r}")
-    if y_metric not in PAIR_METRICS:
-        raise ValueError(f"y_metric must be one of {PAIR_METRICS}, got {y_metric!r}")
-    pair = f"mcc-{y_metric}"
-    return [
-        PairedCurvePoint(tau, point.report.mcc_scaled, getattr(point.report, y_metric), pair)
-        for tau, point in zip(curve.keys, curve.points)
-    ]
-
-
 @dataclass(frozen=True)
 class OptimalThreshold:
     tau: float
@@ -162,23 +132,33 @@ class OptimalThreshold:
     metric_pair: str
 
 
-def optimal_threshold(paired: Iterable[PairedCurvePoint]) -> OptimalThreshold:
-    """The tau whose point lies closest to the ideal corner (1, 1).
+def optimal_threshold(series: MetricSeries, y_metric: str) -> OptimalThreshold:
+    """The tau whose (scaled MCC, `y_metric`) point lies closest to the ideal
+    corner (1, 1) of a tau-keyed series, with `y_metric` one of PAIR_METRICS.
 
-    Only fully defined points compete; ties go to the smallest tau, so the
-    result does not depend on point order.
+    Only points whose two coordinates are both defined compete, and ties go to
+    the smallest tau.  A point shared with the key before it (`build_series`
+    shares one across each run of equal matrices) is measured once, at the
+    first key of its run, which is its smallest tau.
     """
-    best = None
-    pair = ""
-    for point in paired:
-        pair = point.pair
-        if not point.is_defined:
+    if series.key_column != "tau":
+        raise ValueError(f"paired curves need a tau-keyed series, got {series.key_column!r}")
+    if y_metric not in PAIR_METRICS:
+        raise ValueError(f"y_metric must be one of {PAIR_METRICS}, got {y_metric!r}")
+    pair = f"mcc-{y_metric}"
+    best = previous = None
+    for tau, point in zip(series.keys, series.points):
+        if point is previous:
             continue
-        distance = math.hypot(1.0 - point.x.value, 1.0 - point.y.value)
-        if best is None or (distance, point.tau) < best:
-            best = (distance, point.tau)
+        previous = point
+        x, y = point.report.mcc_scaled, getattr(point.report, y_metric)
+        if not (x.is_defined and y.is_defined):
+            continue
+        distance = math.hypot(1.0 - x.value, 1.0 - y.value)
+        if best is None or distance < best[0]:
+            best = (distance, tau)
     if best is None:
-        raise NoDefinedPointsError(f"no fully defined points on the {pair or 'paired'} curve")
+        raise NoDefinedPointsError(f"no fully defined points on the {pair} curve")
     distance, tau = best
     return OptimalThreshold(tau=tau, distance=distance, metric_pair=pair)
 

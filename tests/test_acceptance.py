@@ -26,7 +26,6 @@ from p4metrics import (
     mcc,
     optimal_threshold,
     p4,
-    paired_curve,
     swap_labels,
     threshold_sweep,
     tpr_sweep,
@@ -201,7 +200,7 @@ def test_sweep_matches_independent_oracles(demo_samples, demo_pairs):
         assert (m.tp, m.fp, m.fn, m.tn) == oracles.classify_counts(demo_pairs, tau)
 
     for y_name in ("f1", "p4"):
-        best = optimal_threshold(paired_curve(curve, y_name))
+        best = optimal_threshold(curve, y_name)
         oracle_tau, oracle_distance = oracles.best_threshold(curve.keys, demo_pairs, y_name)
         assert best.tau == oracle_tau
         assert abs(best.distance - float(oracle_distance)) <= 1e-12
@@ -219,7 +218,7 @@ def test_external_classifier_thresholds_are_out_of_scope(demo_samples):
     assert not any(name in ("fit", "train", "svm") for name in p4metrics.__all__)
     curve = threshold_sweep(demo_samples)
     for pair, (tau, distance) in DEMO_BEST.items():
-        best = optimal_threshold(paired_curve(curve, pair.removeprefix("mcc-")))
+        best = optimal_threshold(curve, pair.removeprefix("mcc-"))
         assert best.tau == tau
         assert abs(best.distance - distance) <= 1e-12
     _pass("external-classifier thresholds excluded; fixture optima stand in")

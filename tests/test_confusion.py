@@ -11,12 +11,10 @@ from p4metrics import (
     ConfusionMatrix,
     EmptyInputError,
     EmptyMatrixError,
-    Label,
     NegativeCountError,
     SampleParseError,
     ScoredSamples,
     classify_at_threshold,
-    from_counts,
     parse_scored_csv,
     read_scored_csv,
     swap_labels,
@@ -28,11 +26,11 @@ import oracles
 
 class TestFromCounts:
     def test_c1_population(self):
-        c = from_counts(45, 995, 5, 8955)
+        c = ConfusionMatrix(45, 995, 5, 8955)
         assert c.population == 10_000
 
     def test_totals(self):
-        c = from_counts(1, 2, 3, 4)
+        c = ConfusionMatrix(1, 2, 3, 4)
         assert c.population == 10
         assert c.actual_positives == 4
         assert c.actual_negatives == 6
@@ -41,18 +39,18 @@ class TestFromCounts:
 
     def test_all_zero_rejected(self):
         with pytest.raises(EmptyMatrixError):
-            from_counts(0, 0, 0, 0)
+            ConfusionMatrix(0, 0, 0, 0)
 
     def test_negative_rejected(self):
         with pytest.raises(NegativeCountError):
-            from_counts(1, -1, 0, 0)
+            ConfusionMatrix(1, -1, 0, 0)
 
     def test_non_integer_rejected(self):
         with pytest.raises(TypeError):
-            from_counts(1.5, 0, 0, 1)
+            ConfusionMatrix(1.5, 0, 0, 1)
 
     def test_immutable(self):
-        c = from_counts(1, 2, 3, 4)
+        c = ConfusionMatrix(1, 2, 3, 4)
         with pytest.raises(AttributeError):
             c.tp = 7
 
@@ -73,13 +71,6 @@ class TestSwapLabels:
     @given(matrices())
     def test_population_preserved(self, c):
         assert swap_labels(c).population == c.population
-
-
-class TestLabel:
-    def test_opposite_is_involution(self):
-        for label in Label:
-            assert label.opposite.opposite is label
-            assert label.opposite is not label
 
 
 class TestScoredSamples:

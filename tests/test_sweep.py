@@ -1,6 +1,5 @@
 import io
 import math
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +13,6 @@ from p4metrics import (
     ScoredSamples,
     evaluate_all,
     optimal_threshold,
-    paired_curve,
     read_curve_csv,
     threshold_sweep,
     tpr_sweep,
@@ -118,6 +116,18 @@ class TestThresholdSweep:
             matrix = point.matrix
             assert (matrix.tp, matrix.fp, matrix.fn, matrix.tn) == oracles.classify_counts(pairs, tau)
             assert point.report == evaluate_all(matrix)
+        for y_name in ("f1", "p4"):
+            oracle = oracles.best_threshold(curve.keys, pairs, y_name)
+            if oracle is None:
+                with pytest.raises(NoDefinedPointsError):
+                    optimal_threshold(curve, y_name)
+                continue
+            best = optimal_threshold(curve, y_name)
+            assert abs(best.distance - float(oracle[1])) <= 1e-12
+            # the smallest tau whose float distance equals the optimum's
+            assert best.tau == min(
+                tau for tau, point in zip(curve.keys, curve.points) if float_distance(point, y_name) == best.distance
+            )
 
     def test_evaluates_each_distinct_matrix_once(self, demo_samples, monkeypatch):
         calls = 0
@@ -144,53 +154,62 @@ class TestThresholdSweep:
 
 
 class TestPairedCurve:
+    """A tau-keyed series seen in the (scaled MCC, F1-or-P4) plane."""
+
     def test_perfect_point_exists(self):
         curve = threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5)
-        paired = paired_curve(curve, "f1")
-        perfect = [p for p in paired if p.is_defined and p.x.value == 1.0 and p.y.value == 1.0]
-        assert len(perfect) == 1
-        assert perfect[0].tau == 0.5
+        perfect = [
+            tau
+            for tau, point in zip(curve.keys, curve.points)
+            if point.report.mcc_scaled.value == 1.0 and point.report.f1.value == 1.0
+        ]
+        assert perfect == [0.5]
 
     def test_all_negative_endpoint_is_flagged(self, demo_samples):
         curve = threshold_sweep(demo_samples)
-        paired = paired_curve(curve, "f1")
-        last = paired[-1]
-        assert last.tau == 1.0
-        assert not last.is_defined  # MCC has an empty predicted-positive margin
-        assert last.y.value == 0.0  # F1 closed form survives with tp = 0
+        assert curve.keys[-1] == 1.0
+        last = curve.points[-1].report
+        assert not last.mcc_scaled.is_defined  # MCC has an empty predicted-positive margin
+        assert last.f1.value == 0.0  # F1 closed form survives with tp = 0
 
     def test_points_match_per_point_recomputation(self, demo_samples):
         curve = threshold_sweep(demo_samples, delta=0.1)
         for y_name in ("f1", "p4"):
-            for tau, point in zip(curve.keys, paired_curve(curve, y_name)):
+            for tau, point in zip(curve.keys, curve.points):
                 report = evaluate_all(point_matrix(curve, tau))
-                assert point.x == report.mcc_scaled
-                assert point.y == getattr(report, y_name)
-        f1_points = paired_curve(curve, "f1")
-        p4_points = paired_curve(curve, "p4")
+                assert point.report.mcc_scaled == report.mcc_scaled
+                assert getattr(point.report, y_name) == getattr(report, y_name)
         assert any(
-            a.is_defined and b.is_defined and a.y.value != b.y.value
-            for a, b in zip(f1_points, p4_points)
+            report.f1.is_defined and report.p4.is_defined and report.f1.value != report.p4.value
+            for report in (point.report for point in curve.points)
         )
 
     def test_unknown_metric_rejected(self, demo_samples):
         curve = threshold_sweep(demo_samples, delta=0.5)
-        with pytest.raises(ValueError):
-            paired_curve(curve, "accuracy")
+        with pytest.raises(ValueError, match="y_metric must be one of"):
+            optimal_threshold(curve, "accuracy")
 
     def test_non_tau_series_rejected(self):
         with pytest.raises(ValueError, match="tau-keyed"):
-            paired_curve(tpr_sweep(100, 0.5, 0.5), "f1")
+            optimal_threshold(tpr_sweep(100, 0.5, 0.5), "f1")
 
 
 def point_matrix(curve, tau):
     return curve.points[curve.keys.index(tau)].matrix
 
 
+def float_distance(point, y_name):
+    """The point's float distance to (1, 1), or None with an undefined coordinate."""
+    x, y = point.report.mcc_scaled, getattr(point.report, y_name)
+    if not (x.is_defined and y.is_defined):
+        return None
+    return math.hypot(1.0 - x.value, 1.0 - y.value)
+
+
 class TestOptimalThreshold:
     def test_perfect_point_gives_zero_distance(self):
         curve = threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5)
-        best = optimal_threshold(paired_curve(curve, "p4"))
+        best = optimal_threshold(curve, "p4")
         assert best.tau == 0.5
         assert best.distance == 0.0
         assert best.metric_pair == "mcc-p4"
@@ -199,7 +218,7 @@ class TestOptimalThreshold:
     def test_demo_matches_exhaustive_oracle(self, pair, demo_samples, demo_pairs):
         curve = threshold_sweep(demo_samples)
         y_name = pair.removeprefix("mcc-")
-        best = optimal_threshold(paired_curve(curve, y_name))
+        best = optimal_threshold(curve, y_name)
         oracle_tau, oracle_distance = oracles.best_threshold(curve.keys, demo_pairs, y_name)
         assert best.tau == oracle_tau
         assert abs(best.distance - float(oracle_distance)) <= 1e-12
@@ -207,18 +226,10 @@ class TestOptimalThreshold:
         assert best.tau == frozen_tau
         assert abs(best.distance - frozen_distance) <= 1e-12
 
-    def test_permutation_invariant(self, demo_samples):
-        curve = threshold_sweep(demo_samples)
-        paired = paired_curve(curve, "p4")
-        best = optimal_threshold(paired)
-        shuffled = list(paired)
-        random.Random(99).shuffle(shuffled)
-        assert optimal_threshold(shuffled) == best
-
     def test_tie_breaks_on_smallest_tau(self):
         # every tau inside the separation gap gives the same perfect matrix
         curve = threshold_sweep(SEPARABLE, 0.3, 0.7, 0.2)
-        best = optimal_threshold(paired_curve(curve, "f1"))
+        best = optimal_threshold(curve, "f1")
         assert best.distance == 0.0
         assert best.tau == 0.3
 
@@ -227,7 +238,7 @@ class TestOptimalThreshold:
         samples = samples_from([(0.3, True), (0.8, True)])
         curve = threshold_sweep(samples, 0.0, 1.0, 0.25)
         with pytest.raises(NoDefinedPointsError):
-            optimal_threshold(paired_curve(curve, "p4"))
+            optimal_threshold(curve, "p4")
 
 
 class TestCurveCsv:
