@@ -106,9 +106,12 @@ def render_line_chart(spec: PlotSpec) -> str:
 
     for index, series in enumerate(spec.series):
         color = PALETTE[index % len(PALETTE)]
-        # split at non-finite points so undefined values leave visible gaps
+        # split at non-finite points so undefined values leave visible gaps,
+        # and draw a point repeated from the one before it only once
         segments: list[list[tuple[float, float]]] = [[]]
-        for x, y in series.points:
+        for (x, y), previous in zip(series.points, (None, *series.points)):
+            if (x, y) == previous:
+                continue
             if math.isfinite(x) and math.isfinite(y):
                 segments[-1].append((px(x), py(y)))
             elif segments[-1]:

@@ -58,6 +58,19 @@ def test_infinite_point_splits_polyline():
     assert 'points="542.00,134.00 704.00,34.00"' in doc
 
 
+def test_repeated_points_render_like_the_series_without_them():
+    # a repeat after a gap is kept, and a run of one point's copies becomes a marker
+    points = ((0.0, 0.1), (0.25, 0.2), (0.5, math.nan), (0.25, 0.2), (0.75, 0.4), (0.9, math.nan), (1.0, 0.5))
+    repeated = (
+        (0.0, 0.1), (0.0, 0.1), (0.25, 0.2), (0.5, math.nan), (0.5, math.nan), (0.25, 0.2),
+        (0.75, 0.4), (0.75, 0.4), (0.75, 0.4), (0.9, math.nan), (1.0, 0.5), (1.0, 0.5),
+    )
+    doc = render_line_chart(simple_spec(series=(Series("repeats", repeated),)))
+    assert doc == render_line_chart(simple_spec(series=(Series("repeats", points),)))
+    assert doc.count("<polyline") == 2
+    assert doc.count("<circle") == 1
+
+
 def test_all_nan_rejected():
     series = Series("empty", ((0.0, math.nan), (1.0, math.nan)))
     with pytest.raises(ValueError):
