@@ -103,8 +103,8 @@ def cmd_cases(args) -> None:
 
 def _emit_series(series: sweep.MetricSeries, args, lines, title: str, x_label: str, y_label: str) -> None:
     """Emit the series CSV; with --svg, chart each (name, x, y) of `lines` beside --out,
-    where x and y name report metrics and an x of None stands for the series key.
-    A chart that cannot be written takes the --out file with it."""
+    where x and y name report metrics and an x of None stands for the series key (a
+    metric x gets a run of shared points once).  A failed chart takes --out with it."""
     _emit(_captured(lambda buffer: sweep.write_curve_csv(series, buffer)), args.out)
     if args.svg:
         try:
@@ -112,7 +112,8 @@ def _emit_series(series: sweep.MetricSeries, args, lines, title: str, x_label: s
                 svg.Series(name, tuple(
                     (key if x is None else getattr(point.report, x).as_float(),
                      getattr(point.report, y).as_float())
-                    for key, point in zip(series.keys, series.points)
+                    for key, point, previous in zip(series.keys, series.points, (None, *series.points))
+                    if x is None or point is not previous
                 ))
                 for name, x, y in lines
             )

@@ -170,8 +170,8 @@ def read_scored_csv(path: str | Path) -> ScoredSamples:
     The header is required.  Scores must be decimals in [0, 1] and labels one
     of 1/0/positive/negative (case-insensitive); anything else, a field over
     the csv module's size limit included, aborts with a SampleParseError that
-    names the first bad physical line.  A file with a header but no data rows
-    raises EmptyInputError.
+    names the physical line the first bad record starts on.  A file with a
+    header but no data rows raises EmptyInputError.
 
     Lines are read in chunks and counted, and each distinct line is checked
     once, so parsing costs O(n) hashing plus O(D log D) for D distinct scores,
@@ -210,20 +210,22 @@ def parse_scored_csv(lines: Iterable[str]) -> ScoredSamples:
 
 def _tally_quoted(lines: Iterator[str], lines_before: int, tallies: _Tallies) -> None:
     """Count the rows of one `csv.reader` over `lines` as tuples, a chunk at a
-    time; a bad row is numbered by the reader's count of physical lines."""
+    time; a bad row is numbered by the physical line after the row before it."""
     reader = csv.reader(lines)
+    start = 1
     while True:
-        chunk, ends, error = [], [], None
+        chunk, starts, error = [], [], None
         try:
             for row in islice(reader, _CHUNK_LINES):
                 chunk.append(tuple(row))
-                ends.append(reader.line_num)
+                starts.append(start)
+                start = reader.line_num + 1
         except csv.Error as exc:
             error = exc  # after the rows before it, in file order
         counted = Counter(chunk)
-        _tally_rows(counted, iter(counted), lambda row: lines_before + ends[chunk.index(row)], tallies)
+        _tally_rows(counted, iter(counted), lambda row: lines_before + starts[chunk.index(row)], tallies)
         if error is not None:
-            raise SampleParseError(lines_before + reader.line_num, str(error))
+            raise SampleParseError(lines_before + start, str(error))
         if len(chunk) < _CHUNK_LINES:
             return
 

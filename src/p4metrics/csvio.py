@@ -19,6 +19,8 @@ from .metrics import METRIC_NAMES, SIGNED_RANGE, UNIT_RANGE, MetricReport, Metri
 
 COUNT_COLUMNS = ("tp", "fp", "fn", "tn")
 _SIGNED_COLUMNS = frozenset({"mcc", "j", "mk"})
+# csv.writer quotes no cell without these; which ones it quotes depends on the Python version
+_QUOTABLE = frozenset(',"\r\n')
 
 
 def format_value(value: MetricValue) -> str:
@@ -32,8 +34,8 @@ def write_rows(
 ) -> None:
     """Write (key, matrix, report) rows; `key_column` of None drops the key.
 
-    A row whose matrix and report are the objects of the row before reuses
-    that row's formatted cells.
+    The count and metric cells (ints, float reprs, `nan`) never need quoting, so
+    they are joined once for a row whose matrix and report are new objects.
     """
     writer = csv.writer(out, lineterminator="\n")
     header = list(COUNT_COLUMNS) + list(METRIC_NAMES)
@@ -43,10 +45,13 @@ def write_rows(
     matrix_before = report_before = cells = None
     for key, matrix, report in rows:
         if matrix is not matrix_before or report is not report_before:
-            cells = [matrix.tp, matrix.fp, matrix.fn, matrix.tn]
-            cells += [format_value(value) for value in report.as_dict().values()]
+            values = map(format_value, report.as_dict().values())
+            cells = ",".join(map(str, (matrix.tp, matrix.fp, matrix.fn, matrix.tn, *values)))
             matrix_before, report_before = matrix, report
-        writer.writerow(cells if key_column is None else [key, *cells])
+        if key_column is not None and not _QUOTABLE.isdisjoint(key):
+            writer.writerow((key, *cells.split(",")))  # the csv module quotes the key
+        else:
+            out.write(cells + "\n" if key_column is None else key + "," + cells + "\n")
 
 
 def _parse_metric(name: str, text: str, line_no: int) -> MetricValue:
@@ -70,6 +75,7 @@ def read_rows(path: str | Path) -> tuple[str | None, list[tuple[str, ConfusionMa
     expected = list(COUNT_COLUMNS) + list(METRIC_NAMES)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
+        end = 0  # the last physical line of the record before; a record may span lines
         try:
             try:
                 header = next(reader)
@@ -80,8 +86,9 @@ def read_rows(path: str | Path) -> tuple[str | None, list[tuple[str, ConfusionMa
             key_column = header[0] if len(header) == len(expected) + 1 else None
 
             rows = []
+            end = reader.line_num
             for row in reader:
-                line_no = reader.line_num  # physical: a quoted field may span lines
+                line_no, end = end + 1, reader.line_num
                 if not row:
                     continue
                 if len(row) != len(header):
@@ -97,5 +104,5 @@ def read_rows(path: str | Path) -> tuple[str | None, list[tuple[str, ConfusionMa
                 }
                 rows.append((key, ConfusionMatrix(*counts), MetricReport(**values)))
         except csv.Error as exc:
-            raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+            raise CsvFormatError(f"line {end + 1}: {exc}") from None
     return key_column, rows

@@ -90,6 +90,7 @@ def balance_sweep(
         "pos_fraction",
         grid,
         lambda fraction: confusion_from_rates(SimulationSpec(population, fraction, tpr, tnr)),
+        range(len(grid)),
     )
 
 
@@ -106,6 +107,7 @@ def tpr_sweep(
         "tpr",
         grid,
         lambda tpr: confusion_from_rates(SimulationSpec(population, pos_fraction, tpr, tnr)),
+        range(len(grid)),
     )
 
 

@@ -11,6 +11,7 @@ and the optimal threshold is the grid point closest to the ideal corner
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, TextIO
@@ -69,21 +70,22 @@ class MetricSeries:
 
 
 def build_series(
-    key_column: str, keys: Sequence[float], matrix_at: Callable[[float], ConfusionMatrix]
+    key_column: str, keys: Sequence[float], matrix_at: Callable[[float], ConfusionMatrix], starts: Sequence[int]
 ) -> MetricSeries:
     """The series of `matrix_at(key)` and its report for every key of a valid grid.
 
-    A key whose matrix equals the previous key's reuses that frozen point, so
-    each run of equal neighbouring matrices is evaluated once.
+    `matrix_at` runs once per run of keys from one of `starts`, the ascending
+    indices from 0 where the matrix may change, to the next.  A run whose matrix
+    equals the run before's reuses that frozen point, so each is evaluated once.
     """
     check_grid(key_column, keys)
     points = []
     point = None
-    for key in keys:
-        matrix = matrix_at(key)
+    for start, end in zip(starts, (*starts[1:], len(keys))):
+        matrix = matrix_at(keys[start])
         if point is None or matrix != point.matrix:
             point = SeriesPoint(matrix, evaluate_all(matrix))
-        points.append(point)
+        points += [point] * (end - start)
     return MetricSeries(key_column, tuple(keys), tuple(points))
 
 
@@ -118,11 +120,14 @@ def threshold_sweep(
 ) -> MetricSeries:
     """Classify `samples` at every grid threshold and report all metrics.
 
-    Each tau counts with `samples.matrix_at`, the strict `score > tau` rule
-    of `classify_at_threshold`, in O(log n) on the scores the samples sorted
-    once, so G taus cost O(G log n).
+    With `score > tau` the matrix changes only at the first tau at or above a
+    score, its `bisect_left`, so D distinct scores cost D bisects and at most
+    D + 1 `samples.matrix_at` counts, and the G taus only O(G) list work.
     """
-    return build_series("tau", make_grid(tau0, tau_n, delta), samples.matrix_at)
+    taus = make_grid(tau0, tau_n, delta)
+    scores = samples.positive_scores + samples.negative_scores
+    starts = sorted({0, *(bisect_left(taus, score) for score in scores)} - {len(taus)})
+    return build_series("tau", taus, samples.matrix_at, starts)
 
 
 @dataclass(frozen=True)
@@ -170,10 +175,13 @@ def write_curve_csv(series: MetricSeries, out: TextIO) -> None:
 
 
 def read_curve_csv(path: str | Path) -> MetricSeries:
-    """Read a series CSV written by `write_curve_csv` back, losslessly."""
+    """Read a series CSV written by `write_curve_csv` back, losslessly; a row
+    equal to the row before shares its point, as in `build_series`."""
     key_column, rows = csvio.read_rows(path)
     if key_column not in KEY_COLUMNS:
         raise CsvFormatError(f"expected a key column out of {tuple(KEY_COLUMNS)}, got {key_column!r}")
     keys = tuple(float(key) for key, _, _ in rows)
-    points = tuple(SeriesPoint(matrix, report) for _, matrix, report in rows)
-    return MetricSeries(key_column, keys, points)
+    points = []
+    for _, matrix, report in rows:
+        points.append(points[-1] if points and points[-1] == (matrix, report) else SeriesPoint(matrix, report))
+    return MetricSeries(key_column, keys, tuple(points))

@@ -129,30 +129,32 @@ def parse_scored_rows(lines):
 
     The first line must be the header `score,label`.  Returns ("ok", pairs),
     the (score, is_positive) pair of every non-blank row, or ("error", line,
-    message) for the first bad row, where line is the physical line the
-    reader has read up to when the row (or the csv error) ends.
+    message) for the first bad row, where line is the physical line the row
+    (or the csv error) starts on: the line after the one the reader had read
+    up to before it.
     """
     reader = csv.reader(lines)
     assert next(reader) == ["score", "label"]
     pairs = []
     while True:
+        line = reader.line_num + 1
         try:
             row = next(reader)
         except StopIteration:
             return "ok", pairs
         except csv.Error as exc:
-            return "error", reader.line_num, str(exc)
+            return "error", line, str(exc)
         if not row:
             continue
         if len(row) != 2:
-            return "error", reader.line_num, f"expected 2 fields, got {len(row)}"
+            return "error", line, f"expected 2 fields, got {len(row)}"
         score_text, label_text = row
         try:
             score = float(score_text)
         except ValueError:
-            return "error", reader.line_num, f"bad score {score_text!r}"
+            return "error", line, f"bad score {score_text!r}"
         if not 0.0 <= score <= 1.0:
-            return "error", reader.line_num, f"score {score_text!r} outside [0, 1]"
+            return "error", line, f"score {score_text!r} outside [0, 1]"
         if label_text.strip().lower() not in _LABELS:
-            return "error", reader.line_num, f"unknown label {label_text!r}"
+            return "error", line, f"unknown label {label_text!r}"
         pairs.append((score, _LABELS[label_text.strip().lower()]))

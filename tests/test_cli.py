@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from p4metrics import csvio, evaluate_all, read_curve_csv, threshold_sweep
+from p4metrics import csvio, evaluate_all, read_curve_csv, svg, threshold_sweep
 from p4metrics.cli import main
 from conftest import DEMO_CSV, FIXTURES
 
@@ -314,7 +314,10 @@ class TestSweep:
         assert "--svg" in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    def test_svg_output(self, capsys, tmp_path):
+    def test_svg_output(self, capsys, tmp_path, monkeypatch, demo_samples):
+        specs = []
+        write_svg = svg.write_svg
+        monkeypatch.setattr(svg, "write_svg", lambda spec, path: (specs.append(spec), write_svg(spec, path)))
         out = tmp_path / "curves.csv"
         rc, _, _ = run_cli(
             capsys, "sweep", "--file", str(DEMO_CSV), "--pair", "both",
@@ -323,6 +326,9 @@ class TestSweep:
         assert rc == 0
         root = ET.fromstring((tmp_path / "curves.svg").read_text())
         assert root.tag.endswith("svg")
+        # the chart is handed one point per run of a shared curve point
+        runs = len({id(point) for point in threshold_sweep(demo_samples).points})
+        assert [len(series.points) for series in specs[0].series] == [runs, runs]
 
 
 @pytest.mark.parametrize("command", [

@@ -230,6 +230,12 @@ class TestScoredCsv:
         with pytest.raises(SampleParseError, match="line 4: bad score 'bad'"):
             parse_scored_csv(lines)
 
+    def test_a_bad_record_is_named_by_the_line_it_starts_on(self):
+        # the label "maybe\n" is quoted across lines 2-3
+        lines = io.StringIO('score,label\n0.5,"maybe\n"\n0.4,1\n', newline="")
+        with pytest.raises(SampleParseError, match=r"^line 2: unknown label 'maybe\\n'$"):
+            parse_scored_csv(lines)
+
     @pytest.mark.parametrize("first_row", ["0.5,1", '"0.5",1'])
     def test_a_bad_row_before_a_csv_error_is_reported_first(self, first_row):
         oversized = "0." + "1" * 200_000 + ",1"

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -144,6 +145,23 @@ class TestThresholdSweep:
         for a, b in zip(curve.points, curve.points[1:]):
             assert (a is b) == (a.matrix == b.matrix)
 
+    @pytest.mark.parametrize("tau0, tau_n", [(0.0, 1.0), (0.25, 0.75)])
+    def test_counts_once_per_run_of_taus(self, demo_samples, monkeypatch, tau0, tau_n):
+        calls = 0
+        matrix_at = ScoredSamples.matrix_at
+
+        def counted(samples, tau):
+            nonlocal calls
+            calls += 1
+            return matrix_at(samples, tau)
+
+        monkeypatch.setattr(ScoredSamples, "matrix_at", counted)
+        curve = threshold_sweep(demo_samples, tau0, tau_n, delta=0.0001)
+        assert len(curve.keys) == round((tau_n - tau0) / 0.0001) + 1
+        assert calls <= len({*demo_samples.positive_scores, *demo_samples.negative_scores}) + 1
+        for tau, point in zip(curve.keys, curve.points):
+            assert point.matrix == matrix_at(demo_samples, tau)
+
     def test_halving_delta_keeps_coarse_points(self, demo_samples):
         coarse = threshold_sweep(demo_samples, delta=0.02)
         fine = threshold_sweep(demo_samples, delta=0.01)
@@ -269,6 +287,33 @@ class TestCurveCsv:
         for got, expected in zip(written, lines):
             assert got == expected
 
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.text(alphabet=',"\r\n a1', max_size=5), st.booleans()), max_size=6))
+    def test_key_cells_are_written_as_csv_writer_writes_them(self, rows):
+        matrices = (ConfusionMatrix(1, 2, 3, 4), ConfusionMatrix(0, 0, 5, 5))
+        rows = [(key, matrices[second], evaluate_all(matrices[second])) for key, second in rows]
+        buffer = io.StringIO()
+        csvio.write_rows(buffer, rows, key_column="case")
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(("case", *csvio.COUNT_COLUMNS, *METRIC_NAMES))
+        for key, matrix, report in rows:
+            values = (csvio.format_value(value) for value in report.as_dict().values())
+            writer.writerow((key, matrix.tp, matrix.fp, matrix.fn, matrix.tn, *values))
+        assert buffer.getvalue() == expected.getvalue()
+
+    def test_read_back_curve_shares_points_like_the_sweep(self, demo_samples, tmp_path):
+        curve = threshold_sweep(demo_samples)
+        path = tmp_path / "curve.csv"
+        with open(path, "w", newline="") as fh:
+            write_curve_csv(curve, fh)
+        parsed = read_curve_csv(path)
+        distinct = len({id(point) for point in curve.points})
+        assert distinct == 84
+        assert len({id(point) for point in parsed.points}) == distinct
+        for y_name in ("f1", "p4"):
+            assert optimal_threshold(parsed, y_name) == optimal_threshold(curve, y_name)
+
     def test_undefined_round_trips_as_nan(self, tmp_path):
         curve = threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5)
         buffer = io.StringIO()
@@ -314,6 +359,16 @@ class TestCurveCsv:
             fh.write("C2,1\n")
         assert path.read_text().split("\n")[3] == "C2,1"
         with pytest.raises(CsvFormatError, match="line 4: expected"):
+            csvio.read_rows(path)
+
+    def test_a_bad_record_is_named_by_the_line_it_starts_on(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        buffer = io.StringIO()
+        write_curve_csv(threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5), buffer)
+        header = buffer.getvalue().split("\n")[0]
+        # the record '0.5,"maybe\n"' spans lines 2-3
+        path.write_text(f'{header}\n0.5,"maybe\n"\n0.4,1\n')
+        with pytest.raises(CsvFormatError, match="^line 2: expected 17 fields, got 2$"):
             csvio.read_rows(path)
 
     def test_oversized_field_rejected(self, tmp_path):
