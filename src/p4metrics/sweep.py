@@ -11,7 +11,7 @@ and the optimal threshold is the grid point closest to the ideal corner
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, TextIO
@@ -121,12 +121,18 @@ def threshold_sweep(
     """Classify `samples` at every grid threshold and report all metrics.
 
     With `score > tau` the matrix changes only at the first tau at or above a
-    score, its `bisect_left`, so D distinct scores cost D bisects and at most
-    D + 1 `samples.matrix_at` counts, and the G taus only O(G) list work.
+    score.  The sweep walks from run to run of equal matrices, three bisects
+    each, and counts with `samples.matrix_at` once per run: R <= min(D + 1, G)
+    runs for D distinct scores and G taus cost O(R log DG), plus O(G) list work.
     """
     taus = make_grid(tau0, tau_n, delta)
-    scores = samples.positive_scores + samples.negative_scores
-    starts = sorted({0, *(bisect_left(taus, score) for score in scores)} - {len(taus)})
+    classes = (samples.positive_scores, samples.negative_scores)
+    starts, i = [], 0
+    while i < len(taus):
+        starts.append(i)
+        # the run ends before the first tau at or above the lowest score above its own tau
+        above = [scores[j] for scores in classes if (j := bisect_right(scores, taus[i])) < len(scores)]
+        i = bisect_left(taus, min(above, default=math.inf), i + 1)
     return build_series("tau", taus, samples.matrix_at, starts)
 
 
