@@ -126,13 +126,14 @@ def threshold_sweep(
     runs for D distinct scores and G taus cost O(R log DG), plus O(G) list work.
     """
     taus = make_grid(tau0, tau_n, delta)
-    classes = (samples.positive_scores, samples.negative_scores)
+    pos, neg = samples.positive_scores, samples.negative_scores
     starts, i = [], 0
     while i < len(taus):
         starts.append(i)
         # the run ends before the first tau at or above the lowest score above its own tau
-        above = [scores[j] for scores in classes if (j := bisect_right(scores, taus[i])) < len(scores)]
-        i = bisect_left(taus, min(above, default=math.inf), i + 1)
+        p, q = bisect_right(pos, taus[i]), bisect_right(neg, taus[i])
+        lowest = min(pos[p] if p < len(pos) else math.inf, neg[q] if q < len(neg) else math.inf)
+        i = bisect_left(taus, lowest, i + 1)
     return build_series("tau", taus, samples.matrix_at, starts)
 
 

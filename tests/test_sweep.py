@@ -290,8 +290,9 @@ class TestCurveCsv:
     @settings(max_examples=200)
     @given(st.lists(st.tuples(st.text(alphabet=',"\r\n a1', max_size=5), st.booleans()), max_size=6))
     def test_key_cells_are_written_as_csv_writer_writes_them(self, rows):
-        matrices = (ConfusionMatrix(1, 2, 3, 4), ConfusionMatrix(0, 0, 5, 5))
-        rows = [(key, matrices[second], evaluate_all(matrices[second])) for key, second in rows]
+        # neighbouring rows that share a matrix and report share formatted cells
+        points = [(matrix, evaluate_all(matrix)) for matrix in (ConfusionMatrix(1, 2, 3, 4), ConfusionMatrix(0, 0, 5, 5))]
+        rows = [(key, *points[second]) for key, second in rows]
         buffer = io.StringIO()
         csvio.write_rows(buffer, rows, key_column="case")
         expected = io.StringIO()
@@ -363,9 +364,7 @@ class TestCurveCsv:
 
     def test_a_bad_record_is_named_by_the_line_it_starts_on(self, tmp_path):
         path = tmp_path / "curve.csv"
-        buffer = io.StringIO()
-        write_curve_csv(threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5), buffer)
-        header = buffer.getvalue().split("\n")[0]
+        header = ",".join(("tau", *csvio.COUNT_COLUMNS, *METRIC_NAMES))
         # the record '0.5,"maybe\n"' spans lines 2-3
         path.write_text(f'{header}\n0.5,"maybe\n"\n0.4,1\n')
         with pytest.raises(CsvFormatError, match="^line 2: expected 17 fields, got 2$"):
