@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Sequence
 
 from .confusion import ConfusionMatrix
 from .errors import DegeneratePopulationError
-from .sweep import MetricSeries, build_series
+from .sweep import MetricSeries, build_series, make_grid
 
 
 @dataclass(frozen=True)
@@ -67,47 +66,28 @@ def confusion_from_rates(spec: SimulationSpec) -> ConfusionMatrix:
     return ConfusionMatrix(tp=tp, fp=actual_negatives - tn, fn=actual_positives - tp, tn=tn)
 
 
-def default_balance_grid() -> tuple[float, ...]:
-    """Positive-fraction grid 0.01 .. 0.99 in steps of 0.01."""
-    return tuple(i / 100 for i in range(1, 100))
+# the positive fractions 0.01 .. 0.99 and the true positive rates 0.00 .. 1.00, in steps of 0.01
+BALANCE_GRID = make_grid(0.01, 0.99, 0.01)
+TPR_GRID = make_grid(0.0, 1.0, 0.01)
 
 
-def default_tpr_grid() -> tuple[float, ...]:
-    """True-positive-rate grid 0.00 .. 1.00 in steps of 0.01."""
-    return tuple(i / 100 for i in range(101))
-
-
-def balance_sweep(
-    population: int,
-    tpr: float,
-    tnr: float,
-    grid: Sequence[float] | None = None,
-) -> MetricSeries:
-    """Vary the actual-positives fraction at fixed TPR and TNR."""
-    if grid is None:
-        grid = default_balance_grid()
+def balance_sweep(population: int, tpr: float, tnr: float) -> MetricSeries:
+    """Vary the actual-positives fraction over BALANCE_GRID at fixed TPR and TNR."""
     return build_series(
         "pos_fraction",
-        grid,
+        BALANCE_GRID,
         lambda fraction: confusion_from_rates(SimulationSpec(population, fraction, tpr, tnr)),
-        range(len(grid)),
+        range(len(BALANCE_GRID)),
     )
 
 
-def tpr_sweep(
-    population: int,
-    pos_fraction: float,
-    tnr: float,
-    grid: Sequence[float] | None = None,
-) -> MetricSeries:
-    """Vary the true positive rate at a fixed population balance and TNR."""
-    if grid is None:
-        grid = default_tpr_grid()
+def tpr_sweep(population: int, pos_fraction: float, tnr: float) -> MetricSeries:
+    """Vary the true positive rate over TPR_GRID at a fixed population balance and TNR."""
     return build_series(
         "tpr",
-        grid,
+        TPR_GRID,
         lambda tpr: confusion_from_rates(SimulationSpec(population, pos_fraction, tpr, tnr)),
-        range(len(grid)),
+        range(len(TPR_GRID)),
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, TextIO
 
@@ -72,13 +73,13 @@ class MetricSeries:
 def build_series(
     key_column: str, keys: Sequence[float], matrix_at: Callable[[float], ConfusionMatrix], starts: Sequence[int]
 ) -> MetricSeries:
-    """The series of `matrix_at(key)` and its report for every key of a valid grid.
+    """The series of `matrix_at(key)` and its report for every key of a grid
+    from `make_grid`; `MetricSeries` checks the grid.
 
     `matrix_at` runs once per run of keys from one of `starts`, the ascending
     indices from 0 where the matrix may change, to the next.  A run whose matrix
     equals the run before's reuses that frozen point, so each is evaluated once.
     """
-    check_grid(key_column, keys)
     points = []
     point = None
     for start, end in zip(starts, (*starts[1:], len(keys))):
@@ -90,26 +91,25 @@ def build_series(
 
 
 def make_grid(tau0: float, tau_n: float, delta: float) -> tuple[float, ...]:
-    """Grid tau0, tau0+delta, ... capped to end exactly at tau_n."""
+    """Grid tau0, tau0+delta, ... below tau_n, then tau_n itself.
+
+    Each key is the float nearest the exact decimal sum of the values as
+    written, so delta 0.03 gives 0.33 and not 0.32999999999999996: a score
+    equal to a printed key is not above it.
+    """
     if not 0.0 < delta < math.inf:
         raise BadGridError(f"delta must be positive and finite, got {delta!r}")
     check_grid("tau", (tau0, tau_n))
-    # checked before the loop so that a tiny delta cannot exhaust memory
-    if (tau_n - tau0) / delta > MAX_GRID_SIZE - 1:
+    (a, p), (b, r), (d, s) = (Decimal(str(x)).as_integer_ratio() for x in (tau0, tau_n, delta))
+    q = math.lcm(p, r, s)
+    start, end, step = a * q // p, b * q // r, d * q // s
+    below = -((start - end) // step)  # ceil((end - start) / step) keys lie below tau_n
+    # checked before building so that a tiny delta cannot exhaust memory
+    if below >= MAX_GRID_SIZE:
         raise BadGridError(
             f"delta {delta!r} gives more than {MAX_GRID_SIZE} taus from {tau0!r} to {tau_n!r}"
         )
-    taus = []
-    i = 0
-    while True:
-        tau = tau0 + i * delta
-        # snap near-misses of the endpoint onto it instead of overshooting
-        if tau >= tau_n - delta * 1e-9:
-            break
-        taus.append(tau)
-        i += 1
-    taus.append(tau_n)
-    return tuple(taus)
+    return (*((start + i * step) / q for i in range(below)), tau_n)
 
 
 def threshold_sweep(

@@ -297,6 +297,18 @@ class TestSweep:
         assert out == ""
         assert err.startswith("p4metrics: error: ") and err.count("\n") == 1
 
+    def test_score_on_a_printed_tau_is_negative_there(self, capsys, tmp_path):
+        path = tmp_path / "scored.csv"
+        path.write_text("score,label\n0.33,1\n0.1,0\n")
+        rc, out, _ = run_cli(capsys, "sweep", "--file", str(path), "--delta", "0.03")
+        assert rc == 0
+        rows = [line for line in out.splitlines() if line.startswith("0.3")]
+        assert rows[:3] == [
+            "0.3,1,0,0,1,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0",
+            "0.33,0,0,1,1,nan,0.0,1.0,0.5,0.0,0.0,nan,nan,0.0,0.5,nan,nan",
+            "0.36,0,0,1,1,nan,0.0,1.0,0.5,0.0,0.0,nan,nan,0.0,0.5,nan,nan",
+        ]
+
     def test_svg_without_out_exits_2(self, capsys, tmp_path):
         path = write_separable(tmp_path)
         rc, out, err = run_cli(capsys, "sweep", "--file", str(path), "--pair", "mcc-f1", "--svg")

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from p4metrics import (
-    BadGridError,
     ConfusionMatrix,
     DegeneratePopulationError,
     SimulationSpec,
@@ -111,6 +110,7 @@ class TestBalanceSweep:
         values = series.keys
         assert len(values) == 99
         assert values[0] == 0.01 and values[-1] == 0.99
+        assert values == tuple(i / 100 for i in range(1, 100))
         assert series.key_column == "pos_fraction"
 
     def test_youden_is_insensitive_to_balance(self, series):
@@ -133,14 +133,6 @@ class TestBalanceSweep:
     def test_f1_is_not_mirror_symmetric(self, series):
         assert series.points[0].report.f1.value != series.points[-1].report.f1.value
 
-    def test_bad_grids(self):
-        with pytest.raises(BadGridError):
-            balance_sweep(10_000, 0.1, 0.1, grid=[])
-        with pytest.raises(BadGridError):
-            balance_sweep(10_000, 0.1, 0.1, grid=[0.5, 0.4])
-        with pytest.raises(BadGridError):
-            balance_sweep(10_000, 0.1, 0.1, grid=[0.0, 0.5])
-
 
 class TestTprSweep:
     @pytest.fixture
@@ -151,6 +143,7 @@ class TestTprSweep:
         values = series.keys
         assert len(values) == 101
         assert values[0] == 0.0 and values[-1] == 1.0
+        assert values == tuple(i / 100 for i in range(101))
         assert series.key_column == "tpr"
 
     def test_full_recall_endpoint(self, series):
@@ -173,10 +166,6 @@ class TestTprSweep:
         assert abs(mid.report.mcc_scaled.value - float(oracles.scaled(oracles.mcc(*counts)))) <= 1e-12
         # the scaled-MCC/P4 gap sits near 0.3 through the first half
         assert abs((mid.report.mcc_scaled.value - mid.report.p4.value) - 0.3) <= 0.05
-
-    def test_grid_allows_endpoints(self):
-        series = tpr_sweep(10_000, 0.5, 0.5, grid=[0.0, 1.0])
-        assert series.keys == (0.0, 1.0)
 
 
 class TestEdgeCases:

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from p4metrics import (
     ConfusionMatrix,
     CsvFormatError,
     EmptyInputError,
+    MetricSeries,
     NoDefinedPointsError,
     ScoredSamples,
     evaluate_all,
@@ -37,6 +39,17 @@ def hard_sweeps(draw):
     scores = st.one_of(st.sampled_from(make_grid(0.0, 1.0, delta)), st.sampled_from(ties), unit_floats)
     labels = draw(st.sampled_from(((True,), (False,), (True, False))))
     return delta, draw(st.lists(st.tuples(scores, st.sampled_from(labels)), min_size=1, max_size=60))
+
+
+@st.composite
+def decimal_grids(draw):
+    """(tau0, tau_n, delta) as decimals: endpoints with 5 places in [0, 1], a
+    delta with 1-5 places, and at most 300 steps between them."""
+    places = draw(st.integers(1, 5))
+    delta = Decimal(draw(st.integers(1, 10**places))).scaleb(-places)
+    tau0 = draw(st.decimals(0, Decimal("0.99999"), places=5))
+    tau_n = draw(st.decimals(tau0 + Decimal("0.00001"), min(Decimal(1), tau0 + 300 * delta), places=5))
+    return tau0, tau_n, delta
 
 
 class TestMakeGrid:
@@ -69,7 +82,41 @@ class TestMakeGrid:
             make_grid(0.0, math.inf, 0.1)
 
     def test_size_cap_admits_a_fine_grid(self):
-        assert len(make_grid(0.0, 1.0, 0.0001)) == 10_001
+        assert make_grid(0.0, 1.0, 0.0001) == tuple(i / 10_000 for i in range(10_001))
+
+    @settings(max_examples=200, deadline=None)
+    @given(decimal_grids(), st.data())
+    def test_keys_are_the_decimal_grid(self, grid, data):
+        tau0, tau_n, delta = (float(value) for value in grid)
+        keys = make_grid(tau0, tau_n, delta)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert keys[-1] == tau_n
+        exact = [Decimal(repr(tau0)) + i * Decimal(repr(delta)) for i in range(len(keys))]
+        # every multiple of delta below tau_n is a key, then tau_n and nothing more
+        assert exact[-2] < Decimal(repr(tau_n)) <= exact[-1]
+        assert keys[:-1] == tuple(float(value) for value in exact[:-1])
+        # samples scored at grid values: each is negative at its own key and every key above it
+        drawn = data.draw(st.lists(st.tuples(st.integers(0, len(keys) - 2), st.booleans()), min_size=1, max_size=30))
+        pairs = [(keys[i], is_positive) for i, is_positive in drawn]
+        curve = threshold_sweep(samples_from(pairs), tau0, tau_n, delta)
+        assert curve.keys == keys
+        for j, (tau, point) in enumerate(zip(curve.keys, curve.points)):
+            matrix = point.matrix
+            assert (matrix.tp, matrix.fp, matrix.fn, matrix.tn) == oracles.classify_counts(pairs, tau)
+            assert matrix.predicted_positives == sum(1 for i, _ in drawn if i > j)
+
+    def test_grid_is_checked_once_per_sweep(self, demo_samples, monkeypatch):
+        full_checks = 0
+        check_grid = sweep.check_grid
+
+        def counted(key_column, keys):
+            nonlocal full_checks
+            full_checks += len(keys) > 2
+            check_grid(key_column, keys)
+
+        monkeypatch.setattr(sweep, "check_grid", counted)
+        threshold_sweep(demo_samples, delta=0.0001)
+        assert full_checks == 1
 
 
 class TestThresholdSweep:
@@ -342,6 +389,16 @@ class TestCurveCsv:
         path = tmp_path / "tpr.csv"
         path.write_text(buffer.getvalue())
         assert read_curve_csv(path) == series
+
+    @pytest.mark.parametrize("keys", [(), (0.5, 0.4), (0.0, 0.5), (0.5, 1.0)])
+    def test_series_rejects_a_bad_fraction_grid(self, keys):
+        point = tpr_sweep(100, 0.5, 0.5).points[0]
+        with pytest.raises(BadGridError):
+            MetricSeries("pos_fraction", keys, (point,) * len(keys))
+
+    def test_series_admits_rate_endpoints(self):
+        point = tpr_sweep(100, 0.5, 0.5).points[0]
+        assert MetricSeries("tpr", (0.0, 1.0), (point, point)).keys == (0.0, 1.0)
 
     def test_case_keyed_csv_rejected(self, tmp_path):
         matrix = ConfusionMatrix(1, 2, 3, 4)
