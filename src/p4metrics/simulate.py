@@ -66,7 +66,6 @@ def confusion_from_rates(spec: SimulationSpec) -> ConfusionMatrix:
     return ConfusionMatrix(tp=tp, fp=actual_negatives - tn, fn=actual_positives - tp, tn=tn)
 
 
-# the positive fractions 0.01 .. 0.99 and the true positive rates 0.00 .. 1.00, in steps of 0.01
 BALANCE_GRID = make_grid(0.01, 0.99, 0.01)
 TPR_GRID = make_grid(0.0, 1.0, 0.01)
 

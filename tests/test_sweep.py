@@ -77,12 +77,15 @@ class TestMakeGrid:
         with pytest.raises(BadGridError):
             make_grid(0.0, 1.0, 1e-9)  # over MAX_GRID_SIZE, refused before allocating
         with pytest.raises(BadGridError):
+            make_grid(0.0, 1.0, 9.99999e-06)  # one tau over MAX_GRID_SIZE
+        with pytest.raises(BadGridError):
             make_grid(math.nan, 1.0, 0.1)
         with pytest.raises(BadGridError):
             make_grid(0.0, math.inf, 0.1)
 
     def test_size_cap_admits_a_fine_grid(self):
         assert make_grid(0.0, 1.0, 0.0001) == tuple(i / 10_000 for i in range(10_001))
+        assert len(make_grid(0.0, 1.0, 1e-5)) == sweep.MAX_GRID_SIZE
 
     @settings(max_examples=200, deadline=None)
     @given(decimal_grids(), st.data())
@@ -306,6 +309,18 @@ class TestOptimalThreshold:
             optimal_threshold(curve, "p4")
 
 
+class TestMetricSeries:
+    @pytest.mark.parametrize("keys", [(), (0.5, 0.4), (0.0, 0.5), (0.5, 1.0)])
+    def test_rejects_a_bad_fraction_grid(self, keys):
+        point = tpr_sweep(100, 0.5, 0.5).points[0]
+        with pytest.raises(BadGridError):
+            MetricSeries("pos_fraction", keys, (point,) * len(keys))
+
+    def test_admits_rate_endpoints(self):
+        point = tpr_sweep(100, 0.5, 0.5).points[0]
+        assert MetricSeries("tpr", (0.0, 1.0), (point, point)).keys == (0.0, 1.0)
+
+
 class TestCurveCsv:
     def test_round_trip_is_lossless(self, demo_samples, tmp_path):
         curve = threshold_sweep(demo_samples, delta=0.05)
@@ -389,16 +404,6 @@ class TestCurveCsv:
         path = tmp_path / "tpr.csv"
         path.write_text(buffer.getvalue())
         assert read_curve_csv(path) == series
-
-    @pytest.mark.parametrize("keys", [(), (0.5, 0.4), (0.0, 0.5), (0.5, 1.0)])
-    def test_series_rejects_a_bad_fraction_grid(self, keys):
-        point = tpr_sweep(100, 0.5, 0.5).points[0]
-        with pytest.raises(BadGridError):
-            MetricSeries("pos_fraction", keys, (point,) * len(keys))
-
-    def test_series_admits_rate_endpoints(self):
-        point = tpr_sweep(100, 0.5, 0.5).points[0]
-        assert MetricSeries("tpr", (0.0, 1.0), (point, point)).keys == (0.0, 1.0)
 
     def test_case_keyed_csv_rejected(self, tmp_path):
         matrix = ConfusionMatrix(1, 2, 3, 4)
