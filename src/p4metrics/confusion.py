@@ -179,7 +179,7 @@ def read_scored_csv(path: str | Path) -> ScoredSamples:
     on, the rest of the file goes through one `csv.reader`, whose rows are
     counted instead, since a quoted field may span lines.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return parse_scored_csv(fh)
 
 

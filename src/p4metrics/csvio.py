@@ -11,20 +11,27 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, TextIO
 
 from .confusion import ConfusionMatrix
 from .errors import CsvFormatError
 from .metrics import METRIC_NAMES, SIGNED_RANGE, UNIT_RANGE, MetricReport, MetricValue
 
 COUNT_COLUMNS = ("tp", "fp", "fn", "tn")
+# every column after the optional leading key column
+COLUMNS = (*COUNT_COLUMNS, *METRIC_NAMES)
 _SIGNED_COLUMNS = frozenset({"mcc", "j", "mk"})
-# csv.writer quotes no cell without these; which ones it quotes depends on the Python version
-_QUOTABLE = frozenset(',"\r\n')
 
 
 def format_value(value: MetricValue) -> str:
     return repr(value.value) if value.is_defined else "nan"
+
+
+def cells(matrix: ConfusionMatrix, report: MetricReport) -> list[str]:
+    """The count and metric cells of one row: ints, float reprs and `nan`,
+    none of which needs quoting."""
+    counts = (matrix.tp, matrix.fp, matrix.fn, matrix.tn)
+    return [*map(str, counts), *map(format_value, report.as_dict().values())]
 
 
 def write_rows(
@@ -32,33 +39,22 @@ def write_rows(
     rows: Iterable[tuple[str, ConfusionMatrix, MetricReport]],
     key_column: str | None,
 ) -> None:
-    """Write (key, matrix, report) rows; `key_column` of None drops the key.
-
-    The count and metric cells (ints, float reprs, `nan`) never need quoting, so
-    they are joined once for a row whose matrix and report are new objects.
-    """
+    """Write (key, matrix, report) rows; `key_column` of None drops the key."""
     writer = csv.writer(out, lineterminator="\n")
-    header = list(COUNT_COLUMNS) + list(METRIC_NAMES)
-    if key_column is not None:
-        header.insert(0, key_column)
-    writer.writerow(header)
-    matrix_before = report_before = cells = None
+    writer.writerow(COLUMNS if key_column is None else (key_column, *COLUMNS))
     for key, matrix, report in rows:
-        if matrix is not matrix_before or report is not report_before:
-            values = map(format_value, report.as_dict().values())
-            cells = ",".join(map(str, (matrix.tp, matrix.fp, matrix.fn, matrix.tn, *values)))
-            matrix_before, report_before = matrix, report
-        if key_column is not None and not _QUOTABLE.isdisjoint(key):
-            writer.writerow((key, *cells.split(",")))  # the csv module quotes the key
-        else:
-            out.write(cells + "\n" if key_column is None else key + "," + cells + "\n")
+        writer.writerow(cells(matrix, report) if key_column is None else [key, *cells(matrix, report)])
+
+
+def _parse_cell(name: str, text: str, line_no: int, parse: Callable[[str], object] = float):
+    try:
+        return parse(text)
+    except ValueError:
+        raise CsvFormatError(f"line {line_no}: bad value {text!r} for {name}") from None
 
 
 def _parse_metric(name: str, text: str, line_no: int) -> MetricValue:
-    try:
-        value = float(text)
-    except ValueError:
-        raise CsvFormatError(f"line {line_no}: bad value {text!r} for {name}") from None
+    value = _parse_cell(name, text, line_no)
     declared = SIGNED_RANGE if name in _SIGNED_COLUMNS else UNIT_RANGE
     if math.isnan(value):
         return MetricValue(None, declared)
@@ -70,10 +66,15 @@ def read_rows(path: str | Path) -> tuple[str | None, list[tuple[str, ConfusionMa
 
     The header must end with the count and metric columns in layout order; at
     most one extra leading column is allowed and becomes the row key (kept as
-    its string form).
+    its string form).  A leading UTF-8 byte order mark is skipped.
     """
-    expected = list(COUNT_COLUMNS) + list(METRIC_NAMES)
-    with open(path, newline="") as fh:
+    return _read_rows(path, str)
+
+
+def _read_rows(path: str | Path, parse_key: Callable[[str], object]) -> tuple[str | None, list[tuple]]:
+    """`read_rows`, with each key cell passed through `parse_key`."""
+    expected = list(COLUMNS)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         end = 0  # the last physical line of the record before; a record may span lines
         try:
@@ -93,7 +94,7 @@ def read_rows(path: str | Path) -> tuple[str | None, list[tuple[str, ConfusionMa
                     continue
                 if len(row) != len(header):
                     raise CsvFormatError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-                key = row.pop(0) if key_column is not None else ""
+                key = _parse_cell(key_column, row.pop(0), line_no, parse_key) if key_column is not None else ""
                 try:
                     counts = [int(field) for field in row[:4]]
                 except ValueError:

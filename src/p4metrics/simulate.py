@@ -15,7 +15,8 @@ from decimal import Decimal
 
 from .confusion import ConfusionMatrix
 from .errors import DegeneratePopulationError
-from .sweep import MetricSeries, build_series, make_grid
+from .metrics import evaluate_all
+from .sweep import MetricSeries, SeriesPoint, make_grid
 
 
 @dataclass(frozen=True)
@@ -72,22 +73,14 @@ TPR_GRID = make_grid(0.0, 1.0, 0.01)
 
 def balance_sweep(population: int, tpr: float, tnr: float) -> MetricSeries:
     """Vary the actual-positives fraction over BALANCE_GRID at fixed TPR and TNR."""
-    return build_series(
-        "pos_fraction",
-        BALANCE_GRID,
-        lambda fraction: confusion_from_rates(SimulationSpec(population, fraction, tpr, tnr)),
-        range(len(BALANCE_GRID)),
-    )
+    matrices = (confusion_from_rates(SimulationSpec(population, x, tpr, tnr)) for x in BALANCE_GRID)
+    return MetricSeries("pos_fraction", BALANCE_GRID, tuple(SeriesPoint(m, evaluate_all(m)) for m in matrices))
 
 
 def tpr_sweep(population: int, pos_fraction: float, tnr: float) -> MetricSeries:
     """Vary the true positive rate over TPR_GRID at a fixed population balance and TNR."""
-    return build_series(
-        "tpr",
-        TPR_GRID,
-        lambda tpr: confusion_from_rates(SimulationSpec(population, pos_fraction, tpr, tnr)),
-        range(len(TPR_GRID)),
-    )
+    matrices = (confusion_from_rates(SimulationSpec(population, pos_fraction, x, tnr)) for x in TPR_GRID)
+    return MetricSeries("tpr", TPR_GRID, tuple(SeriesPoint(m, evaluate_all(m)) for m in matrices))
 
 
 def edge_cases() -> list[tuple[str, ConfusionMatrix]]:

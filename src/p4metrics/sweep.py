@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 from . import csvio
 from .confusion import ConfusionMatrix, ScoredSamples
@@ -70,32 +70,13 @@ class MetricSeries:
         check_grid(self.key_column, self.keys)
 
 
-def build_series(
-    key_column: str, keys: Sequence[float], matrix_at: Callable[[float], ConfusionMatrix], starts: Sequence[int]
-) -> MetricSeries:
-    """The series of `matrix_at(key)` and its report for every key of a grid
-    from `make_grid`; `MetricSeries` checks the grid.
-
-    `matrix_at` runs once per run of keys from one of `starts`, the ascending
-    indices from 0 where the matrix may change, to the next.  A run whose matrix
-    equals the run before's reuses that frozen point, so each is evaluated once.
-    """
-    points = []
-    point = None
-    for start, end in zip(starts, (*starts[1:], len(keys))):
-        matrix = matrix_at(keys[start])
-        if point is None or matrix != point.matrix:
-            point = SeriesPoint(matrix, evaluate_all(matrix))
-        points += [point] * (end - start)
-    return MetricSeries(key_column, tuple(keys), tuple(points))
-
-
 def make_grid(tau0: float, tau_n: float, delta: float) -> tuple[float, ...]:
     """Grid tau0, tau0+delta, ... below tau_n, then tau_n itself.
 
     Each key is the float nearest the exact decimal sum of the values as
     written, so delta 0.03 gives 0.33 and not 0.32999999999999996: a score
-    equal to a printed key is not above it.
+    equal to a printed key is not above it.  Sums that round to one float
+    give one key, so delta 1/7 ends 0.8571428571428571, 1.0.
     """
     if not 0.0 < delta < math.inf:
         raise BadGridError(f"delta must be positive and finite, got {delta!r}")
@@ -109,7 +90,12 @@ def make_grid(tau0: float, tau_n: float, delta: float) -> tuple[float, ...]:
         raise BadGridError(
             f"delta {delta!r} gives more than {MAX_GRID_SIZE} taus from {tau0!r} to {tau_n!r}"
         )
-    return (*((start + i * step) / q for i in range(below)), tau_n)
+    keys = [(start + i * step) / q for i in range(below)]
+    if delta <= 2 * math.ulp(tau_n):  # only so small a step can round neighbours to one float
+        keys = list(dict.fromkeys(keys))
+    if keys[-1] == tau_n:  # the last sum below tau_n may round up to it
+        keys.pop()
+    return (*keys, tau_n)
 
 
 def threshold_sweep(
@@ -122,19 +108,23 @@ def threshold_sweep(
 
     With `score > tau` the matrix changes only at the first tau at or above a
     score.  The sweep walks from run to run of equal matrices, three bisects
-    each, and counts with `samples.matrix_at` once per run: R <= min(D + 1, G)
-    runs for D distinct scores and G taus cost O(R log DG), plus O(G) list work.
+    each, and counts and evaluates once per run, whose taus all share that one
+    point: R <= min(D + 1, G) runs for D distinct scores and G taus cost
+    O(R log DG), plus O(G) list work.  Each run starts at or above a score
+    that lay above the run before's tau, so its matrix differs from that run's.
     """
     taus = make_grid(tau0, tau_n, delta)
     pos, neg = samples.positive_scores, samples.negative_scores
-    starts, i = [], 0
+    points, i = [], 0
     while i < len(taus):
-        starts.append(i)
+        matrix = samples.matrix_at(taus[i])
         # the run ends before the first tau at or above the lowest score above its own tau
         p, q = bisect_right(pos, taus[i]), bisect_right(neg, taus[i])
         lowest = min(pos[p] if p < len(pos) else math.inf, neg[q] if q < len(neg) else math.inf)
-        i = bisect_left(taus, lowest, i + 1)
-    return build_series("tau", taus, samples.matrix_at, starts)
+        end = bisect_left(taus, lowest, i + 1)
+        points += [SeriesPoint(matrix, evaluate_all(matrix))] * (end - i)
+        i = end
+    return MetricSeries("tau", taus, tuple(points))
 
 
 @dataclass(frozen=True)
@@ -149,7 +139,7 @@ def optimal_threshold(series: MetricSeries, y_metric: str) -> OptimalThreshold:
     corner (1, 1) of a tau-keyed series, with `y_metric` one of PAIR_METRICS.
 
     Only points whose two coordinates are both defined compete, and ties go to
-    the smallest tau.  A point shared with the key before it (`build_series`
+    the smallest tau.  A point shared with the key before it (`threshold_sweep`
     shares one across each run of equal matrices) is measured once, at the
     first key of its run, which is its smallest tau.
     """
@@ -176,18 +166,23 @@ def optimal_threshold(series: MetricSeries, y_metric: str) -> OptimalThreshold:
 
 
 def write_curve_csv(series: MetricSeries, out: TextIO) -> None:
-    """Write a series in the standard metrics CSV layout, keyed by its key column."""
-    rows = [(repr(key), point.matrix, point.report) for key, point in zip(series.keys, series.points)]
-    csvio.write_rows(out, rows, key_column=series.key_column)
+    """Write a series in the standard metrics CSV layout, keyed by its key
+    column; a point shared with the key before it is formatted once."""
+    out.write(",".join((series.key_column, *csvio.COLUMNS)) + "\n")
+    previous = cells = None
+    for key, point in zip(series.keys, series.points):
+        if point is not previous:
+            previous, cells = point, ",".join(csvio.cells(*point)) + "\n"
+        out.write(f"{key!r},{cells}")
 
 
 def read_curve_csv(path: str | Path) -> MetricSeries:
     """Read a series CSV written by `write_curve_csv` back, losslessly; a row
-    equal to the row before shares its point, as in `build_series`."""
-    key_column, rows = csvio.read_rows(path)
+    equal to the row before shares its point, as in `threshold_sweep`."""
+    key_column, rows = csvio._read_rows(path, float)
     if key_column not in KEY_COLUMNS:
         raise CsvFormatError(f"expected a key column out of {tuple(KEY_COLUMNS)}, got {key_column!r}")
-    keys = tuple(float(key) for key, _, _ in rows)
+    keys = tuple(key for key, _, _ in rows)
     points = []
     for _, matrix, report in rows:
         points.append(points[-1] if points and points[-1] == (matrix, report) else SeriesPoint(matrix, report))

@@ -297,6 +297,13 @@ class TestSweep:
         assert out == ""
         assert err.startswith("p4metrics: error: ") and err.count("\n") == 1
 
+    def test_a_delta_whose_last_sum_rounds_to_one(self, capsys):
+        # 7 * 0.14285714285714285 is 0.99999999999999995, one key with 1.0
+        rc, out, err = run_cli(capsys, "sweep", "--file", str(DEMO_CSV), "--delta", repr(1 / 7))
+        assert (rc, err) == (0, "")
+        keys = [line.split(",")[0] for line in out.splitlines()[1:-2]]
+        assert len(keys) == 8 and keys[-2:] == ["0.8571428571428571", "1.0"]
+
     def test_score_on_a_printed_tau_is_negative_there(self, capsys, tmp_path):
         path = tmp_path / "scored.csv"
         path.write_text("score,label\n0.33,1\n0.1,0\n")

@@ -20,7 +20,7 @@ from p4metrics import (
     swap_labels,
 )
 from p4metrics import confusion
-from conftest import DEMO_COUNTS_AT_HALF, matrices, samples_from, scored_pairs, unit_floats
+from conftest import DEMO_COUNTS_AT_HALF, DEMO_CSV, matrices, samples_from, scored_pairs, unit_floats
 import oracles
 
 
@@ -211,6 +211,12 @@ class TestScoredCsv:
         assert len(demo_samples) == 200
         assert demo_samples.positive_cumulative[-1] == 60
         assert demo_samples == samples_from(demo_pairs)
+
+    def test_a_byte_order_mark_is_skipped(self, demo_samples, tmp_path):
+        # as in an Excel "CSV UTF-8" file
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + DEMO_CSV.read_bytes())
+        assert read_scored_csv(path) == demo_samples
 
     def test_label_aliases(self):
         text = ["score,label", "0.9,1", "0.1,0", "0.8,POSITIVE", "0.2,Negative"]

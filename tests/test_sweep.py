@@ -43,10 +43,14 @@ def hard_sweeps(draw):
 
 @st.composite
 def decimal_grids(draw):
-    """(tau0, tau_n, delta) as decimals: endpoints with 5 places in [0, 1], a
-    delta with 1-5 places, and at most 300 steps between them."""
+    """(tau0, tau_n, delta) as decimals, at most 300 steps apart: endpoints
+    with 5 places in [0, 1] and a delta with 1-5 places or the repr of a
+    float 1/k, or 0, 1 and such a 1/k, whose last sum below 1 may round to 1."""
     places = draw(st.integers(1, 5))
-    delta = Decimal(draw(st.integers(1, 10**places))).scaleb(-places)
+    reciprocals = st.integers(1, 300).map(lambda k: Decimal(repr(1 / k)))
+    if draw(st.booleans()):
+        return Decimal(0), Decimal(1), draw(reciprocals)
+    delta = draw(st.one_of(st.integers(1, 10**places).map(lambda i: Decimal(i).scaleb(-places)), reciprocals))
     tau0 = draw(st.decimals(0, Decimal("0.99999"), places=5))
     tau_n = draw(st.decimals(tau0 + Decimal("0.00001"), min(Decimal(1), tau0 + 300 * delta), places=5))
     return tau0, tau_n, delta
@@ -83,6 +87,13 @@ class TestMakeGrid:
         with pytest.raises(BadGridError):
             make_grid(0.0, math.inf, 0.1)
 
+    def test_sums_that_round_to_one_float_give_one_key(self):
+        # 7 * 0.14285714285714285 is 0.99999999999999995, which rounds to 1.0
+        taus = make_grid(0.0, 1.0, 1 / 7)
+        assert len(taus) == 8 and taus[-2:] == (0.8571428571428571, 1.0)
+        # 0.1 + 1e-17 rounds to 0.1, a step below the float spacing there
+        assert make_grid(0.1, 0.10000000000000002, 1e-17) == (0.1, 0.10000000000000002)
+
     def test_size_cap_admits_a_fine_grid(self):
         assert make_grid(0.0, 1.0, 0.0001) == tuple(i / 10_000 for i in range(10_001))
         assert len(make_grid(0.0, 1.0, 1e-5)) == sweep.MAX_GRID_SIZE
@@ -93,11 +104,11 @@ class TestMakeGrid:
         tau0, tau_n, delta = (float(value) for value in grid)
         keys = make_grid(tau0, tau_n, delta)
         assert all(a < b for a, b in zip(keys, keys[1:]))
-        assert keys[-1] == tau_n
-        exact = [Decimal(repr(tau0)) + i * Decimal(repr(delta)) for i in range(len(keys))]
-        # every multiple of delta below tau_n is a key, then tau_n and nothing more
-        assert exact[-2] < Decimal(repr(tau_n)) <= exact[-1]
-        assert keys[:-1] == tuple(float(value) for value in exact[:-1])
+        below = []  # the exact decimal sums tau0 + i * delta below tau_n
+        while (value := Decimal(repr(tau0)) + len(below) * Decimal(repr(delta))) < Decimal(repr(tau_n)):
+            below.append(value)
+        # each distinct float of a sum below tau_n other than tau_n is a key, then tau_n and nothing more
+        assert keys == (*dict.fromkeys(float(value) for value in below if float(value) != tau_n), tau_n)
         # samples scored at grid values: each is negative at its own key and every key above it
         drawn = data.draw(st.lists(st.tuples(st.integers(0, len(keys) - 2), st.booleans()), min_size=1, max_size=30))
         pairs = [(keys[i], is_positive) for i, is_positive in drawn]
@@ -352,7 +363,6 @@ class TestCurveCsv:
     @settings(max_examples=200)
     @given(st.lists(st.tuples(st.text(alphabet=',"\r\n a1', max_size=5), st.booleans()), max_size=6))
     def test_key_cells_are_written_as_csv_writer_writes_them(self, rows):
-        # neighbouring rows that share a matrix and report share formatted cells
         points = [(matrix, evaluate_all(matrix)) for matrix in (ConfusionMatrix(1, 2, 3, 4), ConfusionMatrix(0, 0, 5, 5))]
         rows = [(key, *points[second]) for key, second in rows]
         buffer = io.StringIO()
@@ -431,6 +441,25 @@ class TestCurveCsv:
         path.write_text(f'{header}\n0.5,"maybe\n"\n0.4,1\n')
         with pytest.raises(CsvFormatError, match="^line 2: expected 17 fields, got 2$"):
             csvio.read_rows(path)
+
+    def test_a_bad_key_is_named_by_the_line_it_starts_on(self, tmp_path):
+        buffer = io.StringIO()
+        write_curve_csv(threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5), buffer)
+        header, first, second, third = buffer.getvalue().splitlines(keepends=True)
+        path = tmp_path / "curve.csv"
+        # the key "0.5\n" is quoted across lines 3-4, so the record keyed half starts on line 5
+        path.write_text(header + first + '"0.5\n"' + second[3:] + "half" + third[3:])
+        with pytest.raises(CsvFormatError, match="^line 5: bad value 'half' for tau$"):
+            read_curve_csv(path)
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        curve = threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5)
+        buffer = io.StringIO()
+        write_curve_csv(curve, buffer)
+        path = tmp_path / "curve.csv"
+        path.write_text(buffer.getvalue(), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbftau,")
+        assert read_curve_csv(path) == curve
 
     def test_oversized_field_rejected(self, tmp_path):
         buffer = io.StringIO()
