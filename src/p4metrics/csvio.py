@@ -14,13 +14,12 @@ from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
 from .confusion import ConfusionMatrix
-from .errors import CsvFormatError
-from .metrics import METRIC_NAMES, SIGNED_RANGE, UNIT_RANGE, MetricReport, MetricValue
+from .errors import CsvFormatError, EmptyMatrixError, NegativeCountError
+from .metrics import METRIC_NAMES, METRIC_RANGES, MetricReport, MetricValue
 
 COUNT_COLUMNS = ("tp", "fp", "fn", "tn")
 # every column after the optional leading key column
 COLUMNS = (*COUNT_COLUMNS, *METRIC_NAMES)
-_SIGNED_COLUMNS = frozenset({"mcc", "j", "mk"})
 
 
 def format_value(value: MetricValue) -> str:
@@ -55,10 +54,10 @@ def _parse_cell(name: str, text: str, line_no: int, parse: Callable[[str], objec
 
 def _parse_metric(name: str, text: str, line_no: int) -> MetricValue:
     value = _parse_cell(name, text, line_no)
-    declared = SIGNED_RANGE if name in _SIGNED_COLUMNS else UNIT_RANGE
-    if math.isnan(value):
-        return MetricValue(None, declared)
-    return MetricValue(value, declared)
+    try:
+        return MetricValue(None if math.isnan(value) else value, METRIC_RANGES[name])
+    except ValueError as exc:
+        raise CsvFormatError(f"line {line_no}: {exc} for {name}") from None
 
 
 def read_rows(path: str | Path) -> tuple[str | None, list[tuple[str, ConfusionMatrix, MetricReport]]]:
@@ -96,14 +95,16 @@ def _read_rows(path: str | Path, parse_key: Callable[[str], object]) -> tuple[st
                     raise CsvFormatError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
                 key = _parse_cell(key_column, row.pop(0), line_no, parse_key) if key_column is not None else ""
                 try:
-                    counts = [int(field) for field in row[:4]]
+                    matrix = ConfusionMatrix(*map(int, row[:4]))
                 except ValueError:
                     raise CsvFormatError(f"line {line_no}: bad counts {row[:4]!r}") from None
+                except (NegativeCountError, EmptyMatrixError) as exc:
+                    raise CsvFormatError(f"line {line_no}: {exc}") from None
                 values = {
                     name: _parse_metric(name, text, line_no)
                     for name, text in zip(METRIC_NAMES, row[4:])
                 }
-                rows.append((key, ConfusionMatrix(*counts), MetricReport(**values)))
+                rows.append((key, matrix, MetricReport(**values)))
         except csv.Error as exc:
             raise CsvFormatError(f"line {end + 1}: {exc}") from None
     return key_column, rows

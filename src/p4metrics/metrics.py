@@ -2,9 +2,13 @@
 
 Policy for 0/0: any metric whose own denominator is zero is Undefined, never
 coerced to 0 or 1 (the common MCC=0 convention is deliberately rejected).
-Composite closed forms are evaluated on integers with a single float division
-(plus one square root for MCC), so results are bit-reproducible and exactly
-symmetric under label swapping.
+Every value is computed in one place, `_closed_forms`, from the integer
+counts: each rate is one float division, F1 and P4 are integer closed forms
+with one division each, MCC's closed form takes one division and one square
+root, J and MK are two rates minus 1, and a scaled metric is `(x + 1) / 2`.
+So results are bit-reproducible and exactly symmetric under label swapping.
+Each metric's declared range is given once, in `METRIC_RANGES`, which the CSV
+readers check.
 """
 
 from __future__ import annotations
@@ -50,14 +54,36 @@ class MetricValue:
         return math.nan if self.value is None else self.value
 
 
-def undefined(range: tuple[float, float] = UNIT_RANGE) -> MetricValue:
-    return MetricValue(None, range)
+def _ratio(num: int, den: int) -> float | None:
+    return num / den if den else None
 
 
-def _rate(num: int, den: int) -> MetricValue:
-    if den == 0:
-        return undefined(UNIT_RANGE)
-    return MetricValue(num / den, UNIT_RANGE)
+def _scaled(x: float | None) -> float | None:
+    return None if x is None else (x + 1) / 2
+
+
+def _closed_forms(tp: int, fp: int, fn: int, tn: int) -> tuple[float | None, ...]:
+    """Every metric of the matrix in `METRIC_NAMES` order, None where its own
+    denominator is zero: the only place a metric's arithmetic is written."""
+    prec, rec = _ratio(tp, tp + fp), _ratio(tp, tp + fn)
+    spec, npv = _ratio(tn, tn + fp), _ratio(tn, tn + fn)
+    radicand = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
+    corr = (tp * tn - fp * fn) / math.sqrt(radicand) if radicand else None
+    j = None if rec is None or spec is None else rec + spec - 1
+    mk = None if prec is None or npv is None else prec + npv - 1
+    p4_num = 4 * tp * tn
+    return (
+        prec, rec, spec, npv,
+        _ratio(2 * tp, 2 * tp + fp + fn),
+        _ratio(p4_num, p4_num + (tp + tn) * (fp + fn)),
+        corr, _scaled(corr), j, _scaled(j), mk, _scaled(mk),
+    )
+
+
+def _metrics(c: ConfusionMatrix, *names: str) -> list[MetricValue]:
+    """The named metrics of `c`, each with its declared range."""
+    values = dict(zip(METRIC_NAMES, _closed_forms(c.tp, c.fp, c.fn, c.tn)))
+    return [MetricValue(values[name], METRIC_RANGES[name]) for name in names]
 
 
 class BasicRates(NamedTuple):
@@ -73,12 +99,7 @@ def basic_rates(c: ConfusionMatrix) -> BasicRates:
     prec = tp/(tp+fp), rec = tp/(tp+fn), spec = tn/(tn+fp), npv = tn/(tn+fn);
     each is Undefined iff its own denominator is zero.
     """
-    return BasicRates(
-        prec=_rate(c.tp, c.tp + c.fp),
-        rec=_rate(c.tp, c.tp + c.fn),
-        spec=_rate(c.tn, c.tn + c.fp),
-        npv=_rate(c.tn, c.tn + c.fn),
-    )
+    return BasicRates(*_metrics(c, *BasicRates._fields))
 
 
 def f1(c: ConfusionMatrix) -> MetricValue:
@@ -87,10 +108,7 @@ def f1(c: ConfusionMatrix) -> MetricValue:
     The closed form keeps F1 defined (value 0) when tp = 0 but fp + fn > 0;
     it is Undefined only when tp, fp, fn are all zero.
     """
-    den = 2 * c.tp + c.fp + c.fn
-    if den == 0:
-        return undefined(UNIT_RANGE)
-    return MetricValue(2 * c.tp / den, UNIT_RANGE)
+    return _metrics(c, "f1")[0]
 
 
 def p4(c: ConfusionMatrix) -> MetricValue:
@@ -101,29 +119,17 @@ def p4(c: ConfusionMatrix) -> MetricValue:
     positive, and extends it with value 0 when tp or tn is zero.  Undefined
     iff the closed-form denominator is zero.
     """
-    num = 4 * c.tp * c.tn
-    den = num + (c.tp + c.tn) * (c.fp + c.fn)
-    if den == 0:
-        return undefined(UNIT_RANGE)
-    return MetricValue(num / den, UNIT_RANGE)
-
-
-def _rate_sum_minus_one(a: MetricValue, b: MetricValue) -> MetricValue:
-    if not (a.is_defined and b.is_defined):
-        return undefined(SIGNED_RANGE)
-    return MetricValue(a.value + b.value - 1, SIGNED_RANGE)
+    return _metrics(c, "p4")[0]
 
 
 def youden(c: ConfusionMatrix) -> MetricValue:
     """Youden index (informedness): J = REC + SPEC - 1, in [-1, 1]."""
-    rates = basic_rates(c)
-    return _rate_sum_minus_one(rates.rec, rates.spec)
+    return _metrics(c, "j")[0]
 
 
 def markedness(c: ConfusionMatrix) -> MetricValue:
     """Markedness: MK = PREC + NPV - 1, in [-1, 1]."""
-    rates = basic_rates(c)
-    return _rate_sum_minus_one(rates.prec, rates.npv)
+    return _metrics(c, "mk")[0]
 
 
 def mcc(c: ConfusionMatrix) -> MetricValue:
@@ -133,19 +139,14 @@ def mcc(c: ConfusionMatrix) -> MetricValue:
     and radicand are exact integers; the only float steps are one square root
     and one division.  Undefined iff any of the four marginal sums is zero.
     """
-    radicand = (c.tp + c.fp) * (c.tp + c.fn) * (c.tn + c.fp) * (c.tn + c.fn)
-    if radicand == 0:
-        return undefined(SIGNED_RANGE)
-    return MetricValue((c.tp * c.tn - c.fp * c.fn) / math.sqrt(radicand), SIGNED_RANGE)
+    return _metrics(c, "mcc")[0]
 
 
 def scale_to_unit(v: MetricValue) -> MetricValue:
     """Map a [-1, 1] metric onto [0, 1] via (v + 1) / 2; Undefined propagates."""
     if v.range != SIGNED_RANGE:
         raise RangeMismatchError(f"can only rescale [-1, 1] values, got range {v.range}")
-    if not v.is_defined:
-        return undefined(UNIT_RANGE)
-    return MetricValue((v.value + 1) / 2, UNIT_RANGE)
+    return MetricValue(_scaled(v.value), UNIT_RANGE)
 
 
 @dataclass(frozen=True)
@@ -171,6 +172,8 @@ class MetricReport:
 
 
 METRIC_NAMES = tuple(field.name for field in fields(MetricReport))
+# the one declaration of each metric's range, which MetricValue checks
+METRIC_RANGES = {name: SIGNED_RANGE if name in ("mcc", "j", "mk") else UNIT_RANGE for name in METRIC_NAMES}
 
 # human-facing spellings used by the CLI tables and chart legends
 DISPLAY_NAMES = {
@@ -191,21 +194,4 @@ DISPLAY_NAMES = {
 
 def evaluate_all(c: ConfusionMatrix) -> MetricReport:
     """Compute the full MetricReport for one matrix."""
-    rates = basic_rates(c)
-    j = _rate_sum_minus_one(rates.rec, rates.spec)
-    mk = _rate_sum_minus_one(rates.prec, rates.npv)
-    corr = mcc(c)
-    return MetricReport(
-        prec=rates.prec,
-        rec=rates.rec,
-        spec=rates.spec,
-        npv=rates.npv,
-        f1=f1(c),
-        p4=p4(c),
-        mcc=corr,
-        mcc_scaled=scale_to_unit(corr),
-        j=j,
-        j_scaled=scale_to_unit(j),
-        mk=mk,
-        mk_scaled=scale_to_unit(mk),
-    )
+    return MetricReport(*map(MetricValue, _closed_forms(c.tp, c.fp, c.fn, c.tn), METRIC_RANGES.values()))

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from p4metrics import (
     ConfusionMatrix,
@@ -19,6 +19,7 @@ from p4metrics import (
     swap_labels,
     youden,
 )
+from p4metrics.metrics import METRIC_NAMES
 from conftest import matrices
 import golden
 import oracles
@@ -162,6 +163,35 @@ class TestEvaluateAll:
         assert report.prec.value == report.npv.value
         assert report.rec.value == report.spec.value
         assert report.f1.value == report.p4.value == 0.7
+
+    @settings(max_examples=500)
+    @given(st.one_of(matrices(max_count=3), matrices()))
+    def test_every_field_matches_the_decimal_oracle(self, c):
+        # counts of 0..3 reach every zero-denominator pattern
+        counts = (c.tp, c.fp, c.fn, c.tn)
+        corr, j, mk = oracles.mcc(*counts), oracles.youden(*counts), oracles.markedness(*counts)
+        expected = (
+            *oracles.rates(*counts), oracles.f1(*counts), oracles.p4(*counts),
+            corr, oracles.scaled(corr), j, oracles.scaled(j), mk, oracles.scaled(mk),
+        )
+        report = evaluate_all(c)
+        for name, want in zip(METRIC_NAMES, expected, strict=True):
+            value = getattr(report, name)
+            assert value.is_defined == (want is not None), name
+            if want is not None:
+                assert abs(value.value - float(want)) <= 1e-12, name
+        singles = {
+            **basic_rates(c)._asdict(),
+            "f1": f1(c),
+            "p4": p4(c),
+            "mcc": mcc(c),
+            "mcc_scaled": scale_to_unit(mcc(c)),
+            "j": youden(c),
+            "j_scaled": scale_to_unit(youden(c)),
+            "mk": markedness(c),
+            "mk_scaled": scale_to_unit(markedness(c)),
+        }
+        assert singles == report.as_dict()
 
     @given(matrices())
     def test_scaled_fields_match_raw(self, c):

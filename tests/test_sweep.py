@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 from decimal import Decimal
 
 import pytest
@@ -442,14 +443,31 @@ class TestCurveCsv:
         with pytest.raises(CsvFormatError, match="^line 2: expected 17 fields, got 2$"):
             csvio.read_rows(path)
 
-    def test_a_bad_key_is_named_by_the_line_it_starts_on(self, tmp_path):
+    @pytest.mark.parametrize(
+        "bad_cells, message",
+        [
+            ({"tau": "half"}, "bad value 'half' for tau"),
+            ({"prec": "1.5"}, "value 1.5 outside declared range [0.0, 1.0] for prec"),
+            ({"prec": "-0.5"}, "value -0.5 outside declared range [0.0, 1.0] for prec"),
+            ({"prec": "inf"}, "value inf outside declared range [0.0, 1.0] for prec"),
+            ({"mcc": "-1.5"}, "value -1.5 outside declared range [-1.0, 1.0] for mcc"),
+            ({"tn": "-1"}, "tn must be non-negative, got -1"),
+            ({"fn": "0", "tn": "0"}, "all four counts are zero"),
+        ],
+        ids=["key", "rate-above-1", "rate-below-0", "rate-inf", "signed-below-minus-1", "negative-count", "zero-counts"],
+    )
+    def test_a_bad_cell_is_named_by_the_line_it_starts_on(self, tmp_path, bad_cells, message):
         buffer = io.StringIO()
         write_curve_csv(threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5), buffer)
         header, first, second, third = buffer.getvalue().splitlines(keepends=True)
+        columns = header.rstrip("\n").split(",")
+        cells = third.rstrip("\n").split(",")
+        for column, text in bad_cells.items():
+            cells[columns.index(column)] = text
         path = tmp_path / "curve.csv"
-        # the key "0.5\n" is quoted across lines 3-4, so the record keyed half starts on line 5
-        path.write_text(header + first + '"0.5\n"' + second[3:] + "half" + third[3:])
-        with pytest.raises(CsvFormatError, match="^line 5: bad value 'half' for tau$"):
+        # the key "0.5\n" is quoted across lines 3-4, so the bad record starts on line 5
+        path.write_text(header + first + '"0.5\n"' + second[3:] + ",".join(cells) + "\n")
+        with pytest.raises(CsvFormatError, match=f"^line 5: {re.escape(message)}$"):
             read_curve_csv(path)
 
     def test_a_byte_order_mark_is_skipped(self, tmp_path):
