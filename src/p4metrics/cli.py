@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, TextIO
@@ -82,41 +83,44 @@ def cmd_eval(args) -> None:
         lines = [_counts_line(matrix), ""] + _table_rows(report)
         _emit("\n".join(lines), args.out)
     elif args.format == "csv":
-        _emit(_captured(lambda buffer: csvio.write_rows(buffer, [("", matrix, report)], None)), args.out)
+        _emit(_captured(lambda buffer: csvio.write_rows(buffer, [("", matrix)], None)), args.out)
     else:
         _emit(json.dumps(_json_record(matrix, report), indent=2), args.out)
 
 
 def cmd_cases(args) -> None:
-    evaluated = [(name, matrix, evaluate_all(matrix)) for name, matrix in simulate.edge_cases()]
+    cases = simulate.edge_cases()
+    evaluated = [(name, matrix, evaluate_all(matrix)) for name, matrix in cases]
     if args.format == "table":
         blocks = []
         for name, matrix, report in evaluated:
             blocks.append("\n".join([f"{name}  {_counts_line(matrix)}"] + _table_rows(report, "  ")))
         _emit("\n\n".join(blocks), args.out)
     elif args.format == "csv":
-        _emit(_captured(lambda buffer: csvio.write_rows(buffer, evaluated, "case")), args.out)
+        _emit(_captured(lambda buffer: csvio.write_rows(buffer, cases, "case")), args.out)
     else:
         records = [{"case": name, **_json_record(matrix, report)} for name, matrix, report in evaluated]
         _emit(json.dumps(records, indent=2), args.out)
 
 
+def _chart_points(series: sweep.MetricSeries, x: str | None, y: str) -> tuple[tuple[float, float], ...]:
+    """(x, y) of one chart curve, with y a metric and nan for Undefined: one point
+    per key when x is None, standing for the key, else one per run."""
+    def cell(row: tuple, name: str) -> float:
+        value = row[csvio.COLUMNS.index(name)]
+        return math.nan if value is None else value
+    if x is None:
+        return tuple((key, cell(row, y)) for start, end, row in series.runs for key in series.keys[start:end])
+    return tuple((cell(row, x), cell(row, y)) for _, _, row in series.runs)
+
+
 def _emit_series(series: sweep.MetricSeries, args, lines, title: str, x_label: str, y_label: str) -> None:
-    """Emit the series CSV; with --svg, chart each (name, x, y) of `lines` beside --out,
-    where x and y name report metrics and an x of None stands for the series key (a
-    metric x gets a run of shared points once).  A failed chart takes --out with it."""
+    """Emit the series CSV; with --svg, chart each (name, x, y) of `lines` beside --out
+    (see `_chart_points`).  A failed chart takes --out with it."""
     _emit(_captured(lambda buffer: sweep.write_curve_csv(series, buffer)), args.out)
     if args.svg:
         try:
-            curves = tuple(
-                svg.Series(name, tuple(
-                    (key if x is None else getattr(point.report, x).as_float(),
-                     getattr(point.report, y).as_float())
-                    for key, point, previous in zip(series.keys, series.points, (None, *series.points))
-                    if x is None or point is not previous
-                ))
-                for name, x, y in lines
-            )
+            curves = tuple(svg.Series(name, _chart_points(series, x, y)) for name, x, y in lines)
             svg.write_svg(svg.PlotSpec(title, x_label, y_label, curves), Path(args.out).with_suffix(".svg"))
         except BaseException:
             Path(args.out).unlink(missing_ok=True)

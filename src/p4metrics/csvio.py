@@ -3,7 +3,8 @@
 One row = one confusion matrix: an optional leading key column (tau, case,
 pos_fraction, ...), the four counts, then every metric in report order.
 Undefined metrics are written as `nan`; defined values use the shortest
-round-trip decimal, so a written file re-parses to bit-identical floats.
+round-trip decimal, so a written file re-parses to bit-identical floats, and
+the readers check each metric cell against the value its counts give.
 """
 
 from __future__ import annotations
@@ -15,34 +16,31 @@ from typing import Callable, Iterable, TextIO
 
 from .confusion import ConfusionMatrix
 from .errors import CsvFormatError, EmptyMatrixError, NegativeCountError
-from .metrics import METRIC_NAMES, METRIC_RANGES, MetricReport, MetricValue
+from .metrics import METRIC_NAMES, MetricReport, _closed_forms, _report
 
 COUNT_COLUMNS = ("tp", "fp", "fn", "tn")
 # every column after the optional leading key column
 COLUMNS = (*COUNT_COLUMNS, *METRIC_NAMES)
 
 
-def format_value(value: MetricValue) -> str:
-    return repr(value.value) if value.is_defined else "nan"
-
-
-def cells(matrix: ConfusionMatrix, report: MetricReport) -> list[str]:
-    """The count and metric cells of one row: ints, float reprs and `nan`,
-    none of which needs quoting."""
+def row(matrix: ConfusionMatrix) -> tuple:
+    """`matrix`'s values in COLUMNS order, None where a metric is Undefined."""
     counts = (matrix.tp, matrix.fp, matrix.fn, matrix.tn)
-    return [*map(str, counts), *map(format_value, report.as_dict().values())]
+    return (*counts, *_closed_forms(*counts))
 
 
-def write_rows(
-    out: TextIO,
-    rows: Iterable[tuple[str, ConfusionMatrix, MetricReport]],
-    key_column: str | None,
-) -> None:
-    """Write (key, matrix, report) rows; `key_column` of None drops the key."""
+def cells(values: Iterable) -> list[str]:
+    """The cells of `row` values: reprs, and `nan` for None; none needs quoting."""
+    return ["nan" if value is None else repr(value) for value in values]
+
+
+def write_rows(out: TextIO, rows: Iterable[tuple[str, ConfusionMatrix]], key_column: str | None) -> None:
+    """Write (key, matrix) rows; `key_column` of None drops the key."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(COLUMNS if key_column is None else (key_column, *COLUMNS))
-    for key, matrix, report in rows:
-        writer.writerow(cells(matrix, report) if key_column is None else [key, *cells(matrix, report)])
+    for key, matrix in rows:
+        line = cells(row(matrix))
+        writer.writerow(line if key_column is None else [key, *line])
 
 
 def _parse_cell(name: str, text: str, line_no: int, parse: Callable[[str], object] = float):
@@ -52,14 +50,6 @@ def _parse_cell(name: str, text: str, line_no: int, parse: Callable[[str], objec
         raise CsvFormatError(f"line {line_no}: bad value {text!r} for {name}") from None
 
 
-def _parse_metric(name: str, text: str, line_no: int) -> MetricValue:
-    value = _parse_cell(name, text, line_no)
-    try:
-        return MetricValue(None if math.isnan(value) else value, METRIC_RANGES[name])
-    except ValueError as exc:
-        raise CsvFormatError(f"line {line_no}: {exc} for {name}") from None
-
-
 def read_rows(path: str | Path) -> tuple[str | None, list[tuple[str, ConfusionMatrix, MetricReport]]]:
     """Read a metrics CSV back into (key_column, rows).
 
@@ -67,11 +57,13 @@ def read_rows(path: str | Path) -> tuple[str | None, list[tuple[str, ConfusionMa
     most one extra leading column is allowed and becomes the row key (kept as
     its string form).  A leading UTF-8 byte order mark is skipped.
     """
-    return _read_rows(path, str)
+    key_column, rows = _read_rows(path, str)
+    return key_column, [(key, matrix, _report(values[4:])) for key, matrix, values in rows]
 
 
 def _read_rows(path: str | Path, parse_key: Callable[[str], object]) -> tuple[str | None, list[tuple]]:
-    """`read_rows`, with each key cell passed through `parse_key`."""
+    """(key_column, rows) of (key, matrix, `row` values), with each key cell
+    passed through `parse_key` and each metric cell checked against `row`."""
     expected = list(COLUMNS)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -87,24 +79,27 @@ def _read_rows(path: str | Path, parse_key: Callable[[str], object]) -> tuple[st
 
             rows = []
             end = reader.line_num
-            for row in reader:
+            for record in reader:
                 line_no, end = end + 1, reader.line_num
-                if not row:
+                if not record:
                     continue
-                if len(row) != len(header):
-                    raise CsvFormatError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-                key = _parse_cell(key_column, row.pop(0), line_no, parse_key) if key_column is not None else ""
+                if len(record) != len(header):
+                    raise CsvFormatError(f"line {line_no}: expected {len(header)} fields, got {len(record)}")
+                key = _parse_cell(key_column, record.pop(0), line_no, parse_key) if key_column is not None else ""
                 try:
-                    matrix = ConfusionMatrix(*map(int, row[:4]))
+                    matrix = ConfusionMatrix(*map(int, record[:4]))
+                    values = row(matrix)
                 except ValueError:
-                    raise CsvFormatError(f"line {line_no}: bad counts {row[:4]!r}") from None
-                except (NegativeCountError, EmptyMatrixError) as exc:
+                    raise CsvFormatError(f"line {line_no}: bad counts {record[:4]!r}") from None
+                except (NegativeCountError, EmptyMatrixError, OverflowError) as exc:
                     raise CsvFormatError(f"line {line_no}: {exc}") from None
-                values = {
-                    name: _parse_metric(name, text, line_no)
-                    for name, text in zip(METRIC_NAMES, row[4:])
-                }
-                rows.append((key, matrix, MetricReport(**values)))
+                # written cells are reprs of these values, so equality is exact
+                for name, text, value in zip(METRIC_NAMES, record[4:], values[4:]):
+                    parsed = _parse_cell(name, text, line_no)
+                    if not (parsed == value or value is None and math.isnan(parsed)):
+                        given = cells((value,))[0]
+                        raise CsvFormatError(f"line {line_no}: {name} {text} does not match its counts, which give {given}")
+                rows.append((key, matrix, values))
         except csv.Error as exc:
             raise CsvFormatError(f"line {end + 1}: {exc}") from None
     return key_column, rows

@@ -175,23 +175,14 @@ METRIC_NAMES = tuple(field.name for field in fields(MetricReport))
 # the one declaration of each metric's range, which MetricValue checks
 METRIC_RANGES = {name: SIGNED_RANGE if name in ("mcc", "j", "mk") else UNIT_RANGE for name in METRIC_NAMES}
 
-# human-facing spellings used by the CLI tables and chart legends
-DISPLAY_NAMES = {
-    "prec": "PREC",
-    "rec": "REC",
-    "spec": "SPEC",
-    "npv": "NPV",
-    "f1": "F1",
-    "p4": "P4",
-    "mcc": "MCC",
-    "mcc_scaled": "MCC'",
-    "j": "J",
-    "j_scaled": "J'",
-    "mk": "MK",
-    "mk_scaled": "MK'",
-}
+# human-facing spellings used by the CLI tables and chart legends: PREC, MCC, MCC' and so on
+DISPLAY_NAMES = {name: name.upper().replace("_SCALED", "'") for name in METRIC_NAMES}
+
+
+def _report(values) -> MetricReport:  # of `_closed_forms` values
+    return MetricReport(*map(MetricValue, values, METRIC_RANGES.values()))
 
 
 def evaluate_all(c: ConfusionMatrix) -> MetricReport:
     """Compute the full MetricReport for one matrix."""
-    return MetricReport(*map(MetricValue, _closed_forms(c.tp, c.fp, c.fn, c.tn), METRIC_RANGES.values()))
+    return _report(_closed_forms(c.tp, c.fp, c.fn, c.tn))

@@ -15,8 +15,7 @@ from decimal import Decimal
 
 from .confusion import ConfusionMatrix
 from .errors import DegeneratePopulationError
-from .metrics import evaluate_all
-from .sweep import MetricSeries, SeriesPoint, make_grid
+from .sweep import MetricSeries, make_grid
 
 
 @dataclass(frozen=True)
@@ -74,13 +73,13 @@ TPR_GRID = make_grid(0.0, 1.0, 0.01)
 def balance_sweep(population: int, tpr: float, tnr: float) -> MetricSeries:
     """Vary the actual-positives fraction over BALANCE_GRID at fixed TPR and TNR."""
     matrices = (confusion_from_rates(SimulationSpec(population, x, tpr, tnr)) for x in BALANCE_GRID)
-    return MetricSeries("pos_fraction", BALANCE_GRID, tuple(SeriesPoint(m, evaluate_all(m)) for m in matrices))
+    return MetricSeries("pos_fraction", BALANCE_GRID, tuple(matrices))
 
 
 def tpr_sweep(population: int, pos_fraction: float, tnr: float) -> MetricSeries:
     """Vary the true positive rate over TPR_GRID at a fixed population balance and TNR."""
     matrices = (confusion_from_rates(SimulationSpec(population, pos_fraction, x, tnr)) for x in TPR_GRID)
-    return MetricSeries("tpr", TPR_GRID, tuple(SeriesPoint(m, evaluate_all(m)) for m in matrices))
+    return MetricSeries("tpr", TPR_GRID, tuple(matrices))
 
 
 def edge_cases() -> list[tuple[str, ConfusionMatrix]]:

@@ -1,26 +1,27 @@
 """Keyed metric series, threshold sweeps and paired metric curves.
 
-A series holds one confusion matrix and its full metric report per value of
-a varied key: a threshold tau, or a simulation's positive fraction or true
-positive rate.  A threshold sweep classifies the sample set at every tau on
-a grid.  Pairing scaled MCC with F1 or P4 gives the two comparison curves,
-and the optimal threshold is the grid point closest to the ideal corner
-(1, 1) in that plane.
+A series holds one confusion matrix per value of a varied key, a threshold
+tau or a simulation's positive fraction or true positive rate, and evaluates
+each run of equal neighbouring matrices once.  A threshold sweep classifies
+the sample set at every tau on a grid.  Pairing scaled MCC with F1 or P4
+gives the two comparison curves, and the optimal threshold is the grid point
+closest to the ideal corner (1, 1) in that plane.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
+from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple, Sequence, TextIO
 
 from . import csvio
 from .confusion import ConfusionMatrix, ScoredSamples
 from .errors import BadGridError, CsvFormatError, NoDefinedPointsError
-from .metrics import MetricReport, evaluate_all
+from .metrics import MetricReport, _report
 
 PAIR_METRICS = ("f1", "p4")
 # Series key columns, each with whether its values may reach 0 and 1: a
@@ -54,20 +55,37 @@ class SeriesPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class MetricSeries:
-    """Confusion matrices and metric reports along one varied key.
+    """Confusion matrices along one varied key, and their metrics.
 
-    `key_column` names the key (`tau`, `pos_fraction` or `tpr`) and `keys`
-    holds its values, strictly increasing, one per point.
+    `key_column` names the key (`tau`, `pos_fraction` or `tpr`), `keys` holds
+    its values, strictly increasing, and `matrices` one matrix per key.  Each
+    run of neighbouring keys with equal matrices is evaluated once: `runs`
+    holds (first index, end index, `csvio.row` of the run's matrix) per run.
     """
 
     key_column: str
     keys: tuple[float, ...]
-    points: tuple[SeriesPoint, ...]
+    matrices: tuple[ConfusionMatrix, ...]
+    runs: tuple[tuple[int, int, tuple], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.keys) != len(self.points):
-            raise ValueError("keys and points must have equal length")
+        if len(self.keys) != len(self.matrices):
+            raise ValueError("keys and matrices must have equal length")
         check_grid(self.key_column, self.keys)
+        runs, end = [], 0
+        for matrix, run in groupby(self.matrices):
+            start, end = end, end + sum(1 for _ in run)
+            runs.append((start, end, csvio.row(matrix)))
+        object.__setattr__(self, "runs", tuple(runs))
+
+    @property
+    def points(self) -> tuple[SeriesPoint, ...]:
+        """One (matrix, report) per key, built on each access; a run's keys share one report."""
+        points = []
+        for start, end, row in self.runs:
+            report = _report(row[4:])
+            points += (SeriesPoint(matrix, report) for matrix in self.matrices[start:end])
+        return tuple(points)
 
 
 def make_grid(tau0: float, tau_n: float, delta: float) -> tuple[float, ...]:
@@ -104,27 +122,28 @@ def threshold_sweep(
     tau_n: float = 1.0,
     delta: float = 0.01,
 ) -> MetricSeries:
-    """Classify `samples` at every grid threshold and report all metrics.
+    """Classify `samples` at every grid threshold.
 
     With `score > tau` the matrix changes only at the first tau at or above a
     score.  The sweep walks from run to run of equal matrices, three bisects
-    each, and counts and evaluates once per run, whose taus all share that one
-    point: R <= min(D + 1, G) runs for D distinct scores and G taus cost
-    O(R log DG), plus O(G) list work.  Each run starts at or above a score
-    that lay above the run before's tau, so its matrix differs from that run's.
+    each, and counts once per run, whose taus all get that one matrix, which
+    the series then evaluates once: R <= min(D + 1, G) runs for D distinct
+    scores and G taus cost O(R log DG), plus O(G) list work.  Each run starts
+    at or above a score that lay above the run before's tau, so its matrix
+    differs from that run's.
     """
     taus = make_grid(tau0, tau_n, delta)
     pos, neg = samples.positive_scores, samples.negative_scores
-    points, i = [], 0
+    matrices, i = [], 0
     while i < len(taus):
         matrix = samples.matrix_at(taus[i])
         # the run ends before the first tau at or above the lowest score above its own tau
         p, q = bisect_right(pos, taus[i]), bisect_right(neg, taus[i])
         lowest = min(pos[p] if p < len(pos) else math.inf, neg[q] if q < len(neg) else math.inf)
         end = bisect_left(taus, lowest, i + 1)
-        points += [SeriesPoint(matrix, evaluate_all(matrix))] * (end - i)
+        matrices += [matrix] * (end - i)
         i = end
-    return MetricSeries("tau", taus, tuple(points))
+    return MetricSeries("tau", taus, tuple(matrices))
 
 
 @dataclass(frozen=True)
@@ -139,26 +158,23 @@ def optimal_threshold(series: MetricSeries, y_metric: str) -> OptimalThreshold:
     corner (1, 1) of a tau-keyed series, with `y_metric` one of PAIR_METRICS.
 
     Only points whose two coordinates are both defined compete, and ties go to
-    the smallest tau.  A point shared with the key before it (`threshold_sweep`
-    shares one across each run of equal matrices) is measured once, at the
-    first key of its run, which is its smallest tau.
+    the smallest tau.  Each run of equal matrices is measured once, at its
+    first key, which is its smallest tau.
     """
     if series.key_column != "tau":
         raise ValueError(f"paired curves need a tau-keyed series, got {series.key_column!r}")
     if y_metric not in PAIR_METRICS:
         raise ValueError(f"y_metric must be one of {PAIR_METRICS}, got {y_metric!r}")
     pair = f"mcc-{y_metric}"
-    best = previous = None
-    for tau, point in zip(series.keys, series.points):
-        if point is previous:
+    best = None
+    x_index, y_index = csvio.COLUMNS.index("mcc_scaled"), csvio.COLUMNS.index(y_metric)
+    for start, _, row in series.runs:
+        x, y = row[x_index], row[y_index]
+        if x is None or y is None:
             continue
-        previous = point
-        x, y = point.report.mcc_scaled, getattr(point.report, y_metric)
-        if not (x.is_defined and y.is_defined):
-            continue
-        distance = math.hypot(1.0 - x.value, 1.0 - y.value)
+        distance = math.hypot(1.0 - x, 1.0 - y)
         if best is None or distance < best[0]:
-            best = (distance, tau)
+            best = (distance, series.keys[start])
     if best is None:
         raise NoDefinedPointsError(f"no fully defined points on the {pair} curve")
     distance, tau = best
@@ -167,23 +183,17 @@ def optimal_threshold(series: MetricSeries, y_metric: str) -> OptimalThreshold:
 
 def write_curve_csv(series: MetricSeries, out: TextIO) -> None:
     """Write a series in the standard metrics CSV layout, keyed by its key
-    column; a point shared with the key before it is formatted once."""
+    column; each run's cells are formatted once."""
     out.write(",".join((series.key_column, *csvio.COLUMNS)) + "\n")
-    previous = cells = None
-    for key, point in zip(series.keys, series.points):
-        if point is not previous:
-            previous, cells = point, ",".join(csvio.cells(*point)) + "\n"
-        out.write(f"{key!r},{cells}")
+    for start, end, row in series.runs:
+        cells = ",".join(csvio.cells(row))
+        out.writelines(f"{key!r},{cells}\n" for key in series.keys[start:end])
 
 
 def read_curve_csv(path: str | Path) -> MetricSeries:
-    """Read a series CSV written by `write_curve_csv` back, losslessly; a row
-    equal to the row before shares its point, as in `threshold_sweep`."""
+    """Read a series CSV written by `write_curve_csv` back, losslessly; each
+    metric cell must be the value its counts give."""
     key_column, rows = csvio._read_rows(path, float)
     if key_column not in KEY_COLUMNS:
         raise CsvFormatError(f"expected a key column out of {tuple(KEY_COLUMNS)}, got {key_column!r}")
-    keys = tuple(key for key, _, _ in rows)
-    points = []
-    for _, matrix, report in rows:
-        points.append(points[-1] if points and points[-1] == (matrix, report) else SeriesPoint(matrix, report))
-    return MetricSeries(key_column, keys, tuple(points))
+    return MetricSeries(key_column, tuple(key for key, _, _ in rows), tuple(matrix for _, matrix, _ in rows))

@@ -260,10 +260,7 @@ class TestSweep:
         )
         assert rc == 0
         assert "optimal tau (mcc-p4) = 0.55" in stdout
-        parsed = read_curve_csv(out)
-        expected = threshold_sweep(demo_samples)
-        assert parsed.keys == expected.keys
-        assert all(a.matrix == b.matrix for a, b in zip(parsed.points, expected.points))
+        assert read_curve_csv(out) == threshold_sweep(demo_samples)
 
     def test_single_pair_stdout(self, capsys):
         rc, out, _ = run_cli(capsys, "sweep", "--file", str(DEMO_CSV), "--pair", "mcc-f1")
@@ -345,8 +342,9 @@ class TestSweep:
         assert rc == 0
         root = ET.fromstring((tmp_path / "curves.svg").read_text())
         assert root.tag.endswith("svg")
-        # the chart is handed one point per run of a shared curve point
-        runs = len({id(point) for point in threshold_sweep(demo_samples).points})
+        # the chart is handed one point per run of equal matrices
+        runs = len(threshold_sweep(demo_samples).runs)
+        assert runs == 84
         assert [len(series.points) for series in specs[0].series] == [runs, runs]
 
 

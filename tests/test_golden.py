@@ -1,9 +1,9 @@
 """Byte-exact CLI outputs on the fixtures.
 
 The expected files under fixtures/golden/ were written by the CLI before the
-sweep and simulation series were merged into one type, and the two charts
-before the CLI's chart builders were merged; any refactor must reproduce them
-exactly.
+sweep and simulation series were merged into one type, the two charts before
+the CLI's chart builders were merged, and `sweep_demo.csv` before a series
+became its keys and matrices; any refactor must reproduce them exactly.
 """
 
 import pytest
@@ -55,3 +55,5 @@ def test_svg_matches_golden(name, capsys, tmp_path):
     assert main(argv + ["--out", str(tmp_path / csv_name), "--svg"]) == 0
     capsys.readouterr()
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+    # the curve CSV written beside the chart is pinned too
+    assert (tmp_path / csv_name).read_bytes() == (GOLDEN / csv_name).read_bytes()

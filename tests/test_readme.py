@@ -14,7 +14,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_python_examples_run(tmp_path, monkeypatch):
     text = README.read_text()
     blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.MULTILINE | re.DOTALL)
-    assert len(blocks) == 3
+    assert len(blocks) == 4
     # the examples read the demo fixture and the CSV of the README's `simulate tpr` command
     (tmp_path / "fixtures").mkdir()
     shutil.copy(DEMO_CSV, tmp_path / "fixtures" / DEMO_CSV.name)

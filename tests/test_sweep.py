@@ -194,18 +194,25 @@ class TestThresholdSweep:
 
     def test_evaluates_each_distinct_matrix_once(self, demo_samples, monkeypatch):
         calls = 0
+        closed_forms = csvio._closed_forms
 
-        def counted(matrix):
+        def counted(*counts):
             nonlocal calls
             calls += 1
-            return evaluate_all(matrix)
+            return closed_forms(*counts)
 
-        monkeypatch.setattr(sweep, "evaluate_all", counted)
+        monkeypatch.setattr(csvio, "_closed_forms", counted)
         curve = threshold_sweep(demo_samples, delta=0.0001)
         assert len(curve.keys) == 10_001
-        assert calls <= len({point.matrix for point in curve.points})
-        for a, b in zip(curve.points, curve.points[1:]):
-            assert (a is b) == (a.matrix == b.matrix)
+        assert calls == len(curve.runs) == 169
+        # the runs tile the keys in order, each with the row of its matrix
+        starts, ends, rows = zip(*curve.runs)
+        assert starts == (0, *ends[:-1]) and ends[-1] == len(curve.keys)
+        assert rows == tuple(csvio.row(curve.matrices[start]) for start in starts)
+        # neighbours share a run exactly when their matrices are equal
+        run_of = [index for index, (start, end, _) in enumerate(curve.runs) for _ in range(start, end)]
+        for i in range(len(curve.keys) - 1):
+            assert (run_of[i] == run_of[i + 1]) == (curve.matrices[i] == curve.matrices[i + 1])
 
     @pytest.mark.parametrize("tau0, tau_n", [(0.0, 1.0), (0.25, 0.75)])
     def test_counts_once_per_run_of_taus(self, demo_samples, monkeypatch, tau0, tau_n):
@@ -274,6 +281,10 @@ class TestPairedCurve:
             optimal_threshold(tpr_sweep(100, 0.5, 0.5), "f1")
 
 
+def format_value(value):
+    return repr(value.value) if value.is_defined else "nan"
+
+
 def point_matrix(curve, tau):
     return curve.points[curve.keys.index(tau)].matrix
 
@@ -324,13 +335,21 @@ class TestOptimalThreshold:
 class TestMetricSeries:
     @pytest.mark.parametrize("keys", [(), (0.5, 0.4), (0.0, 0.5), (0.5, 1.0)])
     def test_rejects_a_bad_fraction_grid(self, keys):
-        point = tpr_sweep(100, 0.5, 0.5).points[0]
         with pytest.raises(BadGridError):
-            MetricSeries("pos_fraction", keys, (point,) * len(keys))
+            MetricSeries("pos_fraction", keys, (ConfusionMatrix(1, 2, 3, 4),) * len(keys))
 
     def test_admits_rate_endpoints(self):
-        point = tpr_sweep(100, 0.5, 0.5).points[0]
-        assert MetricSeries("tpr", (0.0, 1.0), (point, point)).keys == (0.0, 1.0)
+        matrix = ConfusionMatrix(1, 2, 3, 4)
+        assert MetricSeries("tpr", (0.0, 1.0), (matrix, matrix)).keys == (0.0, 1.0)
+
+    def test_points_view_shares_one_report_per_run(self):
+        a, b = ConfusionMatrix(1, 2, 3, 4), ConfusionMatrix(0, 0, 3, 4)
+        series = MetricSeries("tpr", (0.0, 0.25, 0.5, 1.0), (a, ConfusionMatrix(1, 2, 3, 4), b, b))
+        assert [(start, end) for start, end, _ in series.runs] == [(0, 2), (2, 4)]
+        points = series.points
+        assert [point.matrix for point in points] == [a, a, b, b]
+        assert [point.report for point in points] == [evaluate_all(a)] * 2 + [evaluate_all(b)] * 2
+        assert points[0].report is points[1].report and points[2].report is points[3].report
 
 
 class TestCurveCsv:
@@ -354,8 +373,7 @@ class TestCurveCsv:
         lines = [",".join(("tau", *csvio.COUNT_COLUMNS, *METRIC_NAMES))]
         for tau, (matrix, report) in zip(curve.keys, curve.points):
             counts = (str(count) for count in (matrix.tp, matrix.fp, matrix.fn, matrix.tn))
-            values = (csvio.format_value(value) for value in report.as_dict().values())
-            lines.append(",".join((repr(tau), *counts, *values)))
+            lines.append(",".join((repr(tau), *counts, *map(format_value, report.as_dict().values()))))
         written = buffer.getvalue().split("\n")
         assert written[-1] == "" and len(written) == len(lines) + 1
         for got, expected in zip(written, lines):
@@ -364,15 +382,15 @@ class TestCurveCsv:
     @settings(max_examples=200)
     @given(st.lists(st.tuples(st.text(alphabet=',"\r\n a1', max_size=5), st.booleans()), max_size=6))
     def test_key_cells_are_written_as_csv_writer_writes_them(self, rows):
-        points = [(matrix, evaluate_all(matrix)) for matrix in (ConfusionMatrix(1, 2, 3, 4), ConfusionMatrix(0, 0, 5, 5))]
-        rows = [(key, *points[second]) for key, second in rows]
+        matrices = (ConfusionMatrix(1, 2, 3, 4), ConfusionMatrix(0, 0, 5, 5))
+        rows = [(key, matrices[second]) for key, second in rows]
         buffer = io.StringIO()
         csvio.write_rows(buffer, rows, key_column="case")
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(("case", *csvio.COUNT_COLUMNS, *METRIC_NAMES))
-        for key, matrix, report in rows:
-            values = (csvio.format_value(value) for value in report.as_dict().values())
+        for key, matrix in rows:
+            values = map(format_value, evaluate_all(matrix).as_dict().values())
             writer.writerow((key, matrix.tp, matrix.fp, matrix.fn, matrix.tn, *values))
         assert buffer.getvalue() == expected.getvalue()
 
@@ -382,9 +400,9 @@ class TestCurveCsv:
         with open(path, "w", newline="") as fh:
             write_curve_csv(curve, fh)
         parsed = read_curve_csv(path)
-        distinct = len({id(point) for point in curve.points})
-        assert distinct == 84
-        assert len({id(point) for point in parsed.points}) == distinct
+        assert parsed == curve
+        assert len(curve.runs) == 84
+        assert parsed.runs == curve.runs
         for y_name in ("f1", "p4"):
             assert optimal_threshold(parsed, y_name) == optimal_threshold(curve, y_name)
 
@@ -420,7 +438,7 @@ class TestCurveCsv:
         matrix = ConfusionMatrix(1, 2, 3, 4)
         path = tmp_path / "cases.csv"
         with open(path, "w") as fh:
-            csvio.write_rows(fh, [("C1", matrix, evaluate_all(matrix))], key_column="case")
+            csvio.write_rows(fh, [("C1", matrix)], key_column="case")
         with pytest.raises(CsvFormatError):
             read_curve_csv(path)
 
@@ -429,7 +447,7 @@ class TestCurveCsv:
         path = tmp_path / "cases.csv"
         with open(path, "w", newline="") as fh:
             # the key "C\n1" is quoted across lines 2-3, so the bad row is on line 4
-            csvio.write_rows(fh, [("C\n1", matrix, evaluate_all(matrix))], key_column="case")
+            csvio.write_rows(fh, [("C\n1", matrix)], key_column="case")
             fh.write("C2,1\n")
         assert path.read_text().split("\n")[3] == "C2,1"
         with pytest.raises(CsvFormatError, match="line 4: expected"):
@@ -447,14 +465,18 @@ class TestCurveCsv:
         "bad_cells, message",
         [
             ({"tau": "half"}, "bad value 'half' for tau"),
-            ({"prec": "1.5"}, "value 1.5 outside declared range [0.0, 1.0] for prec"),
-            ({"prec": "-0.5"}, "value -0.5 outside declared range [0.0, 1.0] for prec"),
-            ({"prec": "inf"}, "value inf outside declared range [0.0, 1.0] for prec"),
-            ({"mcc": "-1.5"}, "value -1.5 outside declared range [-1.0, 1.0] for mcc"),
+            ({"prec": "1.5"}, "prec 1.5 does not match its counts, which give nan"),
+            ({"prec": "-0.5"}, "prec -0.5 does not match its counts, which give nan"),
+            ({"prec": "inf"}, "prec inf does not match its counts, which give nan"),
+            ({"mcc": "-1.5"}, "mcc -1.5 does not match its counts, which give nan"),
             ({"tn": "-1"}, "tn must be non-negative, got -1"),
             ({"fn": "0", "tn": "0"}, "all four counts are zero"),
+            ({"tp": "9" * 85, "tn": "9" * 85}, "int too large to convert to float"),
         ],
-        ids=["key", "rate-above-1", "rate-below-0", "rate-inf", "signed-below-minus-1", "negative-count", "zero-counts"],
+        ids=[
+            "key", "rate-above-1", "rate-below-0", "rate-inf", "signed-below-minus-1", "negative-count", "zero-counts",
+            "counts-too-large",
+        ],
     )
     def test_a_bad_cell_is_named_by_the_line_it_starts_on(self, tmp_path, bad_cells, message):
         buffer = io.StringIO()
@@ -468,6 +490,37 @@ class TestCurveCsv:
         # the key "0.5\n" is quoted across lines 3-4, so the bad record starts on line 5
         path.write_text(header + first + '"0.5\n"' + second[3:] + ",".join(cells) + "\n")
         with pytest.raises(CsvFormatError, match=f"^line 5: {re.escape(message)}$"):
+            read_curve_csv(path)
+
+    def test_a_metric_cell_its_counts_do_not_give_is_rejected(self, demo_samples, tmp_path):
+        buffer = io.StringIO()
+        write_curve_csv(threshold_sweep(demo_samples), buffer)
+        *lines, last = buffer.getvalue().splitlines(keepends=True)
+        cells = last.rstrip("\n").split(",")
+        assert cells[:5] == ["1.0", "0", "0", "60", "140"]
+        columns = lines[0].rstrip("\n").split(",")
+        cells[columns.index("prec")], cells[columns.index("mcc")] = "0.25", "0.9"
+        path = tmp_path / "curve.csv"
+        path.write_text("".join(lines) + ",".join(cells) + "\n")
+        with pytest.raises(CsvFormatError, match="^line 102: prec 0.25 does not match its counts, which give nan$"):
+            read_curve_csv(path)
+        cells[columns.index("prec")] = "nan"  # the next cell off its counts is named next
+        path.write_text("".join(lines) + ",".join(cells) + "\n")
+        with pytest.raises(CsvFormatError, match="^line 102: mcc 0.9 does not match its counts, which give nan$"):
+            read_curve_csv(path)
+
+    def test_a_defined_value_written_as_nan_is_rejected(self, tmp_path):
+        buffer = io.StringIO()
+        write_curve_csv(threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5), buffer)
+        path = tmp_path / "curve.csv"
+        path.write_text(buffer.getvalue().replace("0.5,1,0,0,1,1.0,", "0.5,1,0,0,1,nan,"))
+        with pytest.raises(CsvFormatError, match="^line 3: prec nan does not match its counts, which give 1.0$"):
+            read_curve_csv(path)
+
+    def test_header_only_file_is_an_empty_grid(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text(",".join(("tau", *csvio.COLUMNS)) + "\n")
+        with pytest.raises(BadGridError, match="^empty grid$"):
             read_curve_csv(path)
 
     def test_a_byte_order_mark_is_skipped(self, tmp_path):
