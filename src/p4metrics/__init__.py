@@ -52,7 +52,6 @@ from .simulate import (
 from .sweep import (
     MetricSeries,
     OptimalThreshold,
-    SeriesPoint,
     optimal_threshold,
     read_curve_csv,
     threshold_sweep,
@@ -80,7 +79,6 @@ __all__ = [
     "SIGNED_RANGE",
     "SampleParseError",
     "ScoredSamples",
-    "SeriesPoint",
     "SimulationSpec",
     "UNIT_RANGE",
     "balance_sweep",

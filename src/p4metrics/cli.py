@@ -17,33 +17,27 @@ from typing import Callable, TextIO
 from . import csvio, simulate, svg, sweep
 from .confusion import ConfusionMatrix, classify_at_threshold, read_scored_csv
 from .errors import P4MetricsError
-from .metrics import DISPLAY_NAMES, MetricReport, MetricValue, evaluate_all
+from .metrics import DISPLAY_NAMES, METRIC_NAMES
 
 FORMATS = ("table", "csv", "json")
 
 
-def _fmt4(value: MetricValue) -> str:
-    return f"{value.value:.4f}" if value.is_defined else "n/a"
+def _counts_line(row: tuple) -> str:
+    tp, fp, fn, tn = row[:4]
+    return f"tp={tp}  fp={fp}  fn={fn}  tn={tn}  (population {tp + fp + fn + tn})"
 
 
-def _counts_line(matrix: ConfusionMatrix) -> str:
-    return (
-        f"tp={matrix.tp}  fp={matrix.fp}  fn={matrix.fn}  tn={matrix.tn}"
-        f"  (population {matrix.population})"
-    )
-
-
-def _table_rows(report: MetricReport, indent: str = "") -> list[str]:
+def _table_rows(row: tuple, indent: str = "") -> list[str]:
     return [
-        f"{indent}{DISPLAY_NAMES[name]:<5} {_fmt4(value)}"
-        for name, value in report.as_dict().items()
+        f"{indent}{DISPLAY_NAMES[name]:<5} {'n/a' if value is None else f'{value:.4f}'}"
+        for name, value in zip(METRIC_NAMES, row[4:])
     ]
 
 
-def _json_record(matrix: ConfusionMatrix, report: MetricReport) -> dict:
+def _json_record(row: tuple) -> dict:
     return {
-        "counts": {"tp": matrix.tp, "fp": matrix.fp, "fn": matrix.fn, "tn": matrix.tn},
-        "metrics": {name: value.as_float() for name, value in report.as_dict().items()},
+        "counts": dict(zip(csvio.COUNT_COLUMNS, row[:4])),
+        "metrics": {name: math.nan if value is None else value for name, value in zip(METRIC_NAMES, row[4:])},
     }
 
 
@@ -78,28 +72,25 @@ def cmd_eval(args) -> None:
     else:
         samples = read_scored_csv(args.file)
         matrix = classify_at_threshold(samples, args.tau)
-    report = evaluate_all(matrix)
+    row = csvio.row(matrix)
     if args.format == "table":
-        lines = [_counts_line(matrix), ""] + _table_rows(report)
+        lines = [_counts_line(row), ""] + _table_rows(row)
         _emit("\n".join(lines), args.out)
     elif args.format == "csv":
-        _emit(_captured(lambda buffer: csvio.write_rows(buffer, [("", matrix)], None)), args.out)
+        _emit(_captured(lambda buffer: csvio.write_rows(buffer, [("", row)], None)), args.out)
     else:
-        _emit(json.dumps(_json_record(matrix, report), indent=2), args.out)
+        _emit(json.dumps(_json_record(row), indent=2), args.out)
 
 
 def cmd_cases(args) -> None:
-    cases = simulate.edge_cases()
-    evaluated = [(name, matrix, evaluate_all(matrix)) for name, matrix in cases]
+    rows = [(name, csvio.row(matrix)) for name, matrix in simulate.edge_cases()]
     if args.format == "table":
-        blocks = []
-        for name, matrix, report in evaluated:
-            blocks.append("\n".join([f"{name}  {_counts_line(matrix)}"] + _table_rows(report, "  ")))
+        blocks = ["\n".join([f"{name}  {_counts_line(row)}"] + _table_rows(row, "  ")) for name, row in rows]
         _emit("\n\n".join(blocks), args.out)
     elif args.format == "csv":
-        _emit(_captured(lambda buffer: csvio.write_rows(buffer, cases, "case")), args.out)
+        _emit(_captured(lambda buffer: csvio.write_rows(buffer, rows, "case")), args.out)
     else:
-        records = [{"case": name, **_json_record(matrix, report)} for name, matrix, report in evaluated]
+        records = [{"case": name, **_json_record(row)} for name, row in rows]
         _emit(json.dumps(records, indent=2), args.out)
 
 
@@ -150,8 +141,15 @@ def cmd_sweep(args) -> None:
         print(f"optimal tau ({best.metric_pair}) = {best.tau:g} (distance {best.distance:.6f})")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="p4metrics",
         description="P4 and companion binary-classifier metrics over confusion matrices",
     )

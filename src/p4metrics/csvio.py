@@ -16,7 +16,7 @@ from typing import Callable, Iterable, TextIO
 
 from .confusion import ConfusionMatrix
 from .errors import CsvFormatError, EmptyMatrixError, NegativeCountError
-from .metrics import METRIC_NAMES, MetricReport, _closed_forms, _report
+from .metrics import METRIC_NAMES, _closed_forms
 
 COUNT_COLUMNS = ("tp", "fp", "fn", "tn")
 # every column after the optional leading key column
@@ -34,12 +34,12 @@ def cells(values: Iterable) -> list[str]:
     return ["nan" if value is None else repr(value) for value in values]
 
 
-def write_rows(out: TextIO, rows: Iterable[tuple[str, ConfusionMatrix]], key_column: str | None) -> None:
-    """Write (key, matrix) rows; `key_column` of None drops the key."""
+def write_rows(out: TextIO, rows: Iterable[tuple[str, tuple]], key_column: str | None) -> None:
+    """Write (key, `row` values) rows; `key_column` of None drops the key."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(COLUMNS if key_column is None else (key_column, *COLUMNS))
-    for key, matrix in rows:
-        line = cells(row(matrix))
+    for key, values in rows:
+        line = cells(values)
         writer.writerow(line if key_column is None else [key, *line])
 
 
@@ -50,15 +50,14 @@ def _parse_cell(name: str, text: str, line_no: int, parse: Callable[[str], objec
         raise CsvFormatError(f"line {line_no}: bad value {text!r} for {name}") from None
 
 
-def read_rows(path: str | Path) -> tuple[str | None, list[tuple[str, ConfusionMatrix, MetricReport]]]:
-    """Read a metrics CSV back into (key_column, rows).
+def read_rows(path: str | Path) -> tuple[str | None, list[tuple[str, ConfusionMatrix, tuple]]]:
+    """Read a metrics CSV back into (key_column, rows) of (key, matrix, `row` values).
 
     The header must end with the count and metric columns in layout order; at
     most one extra leading column is allowed and becomes the row key (kept as
     its string form).  A leading UTF-8 byte order mark is skipped.
     """
-    key_column, rows = _read_rows(path, str)
-    return key_column, [(key, matrix, _report(values[4:])) for key, matrix, values in rows]
+    return _read_rows(path, str)
 
 
 def _read_rows(path: str | Path, parse_key: Callable[[str], object]) -> tuple[str | None, list[tuple]]:
@@ -88,7 +87,8 @@ def _read_rows(path: str | Path, parse_key: Callable[[str], object]) -> tuple[st
                 key = _parse_cell(key_column, record.pop(0), line_no, parse_key) if key_column is not None else ""
                 try:
                     matrix = ConfusionMatrix(*map(int, record[:4]))
-                    values = row(matrix)
+                    # a run of equal neighbouring matrices is evaluated once
+                    values = rows[-1][2] if rows and rows[-1][1] == matrix else row(matrix)
                 except ValueError:
                     raise CsvFormatError(f"line {line_no}: bad counts {record[:4]!r}") from None
                 except (NegativeCountError, EmptyMatrixError, OverflowError) as exc:

@@ -179,10 +179,7 @@ METRIC_RANGES = {name: SIGNED_RANGE if name in ("mcc", "j", "mk") else UNIT_RANG
 DISPLAY_NAMES = {name: name.upper().replace("_SCALED", "'") for name in METRIC_NAMES}
 
 
-def _report(values) -> MetricReport:  # of `_closed_forms` values
-    return MetricReport(*map(MetricValue, values, METRIC_RANGES.values()))
-
-
 def evaluate_all(c: ConfusionMatrix) -> MetricReport:
     """Compute the full MetricReport for one matrix."""
-    return _report(_closed_forms(c.tp, c.fp, c.fn, c.tn))
+    values = _closed_forms(c.tp, c.fp, c.fn, c.tn)
+    return MetricReport(*map(MetricValue, values, METRIC_RANGES.values()))

@@ -141,4 +141,7 @@ def render_line_chart(spec: PlotSpec) -> str:
 
 
 def write_svg(spec: PlotSpec, path: str | Path) -> None:
-    Path(path).write_text(render_line_chart(spec))
+    """Write the chart as UTF-8, whatever the locale.  A file name the locale
+    could not decode reaches the title as surrogates; they are written back as
+    the name's own bytes."""
+    Path(path).write_bytes(render_line_chart(spec).encode("utf-8", "surrogateescape"))

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import groupby
 from pathlib import Path
-from typing import NamedTuple, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from . import csvio
 from .confusion import ConfusionMatrix, ScoredSamples
 from .errors import BadGridError, CsvFormatError, NoDefinedPointsError
-from .metrics import MetricReport, _report
 
 PAIR_METRICS = ("f1", "p4")
 # Series key columns, each with whether its values may reach 0 and 1: a
@@ -48,11 +47,6 @@ def check_grid(key_column: str, keys: Sequence[float]) -> None:
             raise BadGridError(f"{key_column} values must be strictly increasing, got {a!r} before {b!r}")
 
 
-class SeriesPoint(NamedTuple):
-    matrix: ConfusionMatrix
-    report: MetricReport
-
-
 @dataclass(frozen=True)
 class MetricSeries:
     """Confusion matrices along one varied key, and their metrics.
@@ -77,15 +71,6 @@ class MetricSeries:
             start, end = end, end + sum(1 for _ in run)
             runs.append((start, end, csvio.row(matrix)))
         object.__setattr__(self, "runs", tuple(runs))
-
-    @property
-    def points(self) -> tuple[SeriesPoint, ...]:
-        """One (matrix, report) per key, built on each access; a run's keys share one report."""
-        points = []
-        for start, end, row in self.runs:
-            report = _report(row[4:])
-            points += (SeriesPoint(matrix, report) for matrix in self.matrices[start:end])
-        return tuple(points)
 
 
 def make_grid(tau0: float, tau_n: float, delta: float) -> tuple[float, ...]:

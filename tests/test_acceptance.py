@@ -172,18 +172,16 @@ def test_simulation_reproduces_reference_studies():
         assert (matrix.tp, matrix.fp, matrix.fn, matrix.tn) == golden.CASES[case]
 
     balance = balance_sweep(10_000, 0.1, 0.1)
-    n = len(balance.points)
-    for point in balance.points:
-        assert f"{point.report.j_scaled.value:.4f}" == "0.1000"
-        assert abs(point.report.j_scaled.value - 0.1) <= 1e-12
+    reports = [evaluate_all(matrix) for matrix in balance.matrices]
+    for report in reports:
+        assert f"{report.j_scaled.value:.4f}" == "0.1000"
+        assert abs(report.j_scaled.value - 0.1) <= 1e-12
     for name in ("p4", "mcc_scaled", "j_scaled", "mk_scaled"):
-        for i in range(n):
-            assert getattr(balance.points[i].report, name) == getattr(
-                balance.points[n - 1 - i].report, name
-            )
+        for report, mirror in zip(reports, reversed(reports)):
+            assert getattr(report, name) == getattr(mirror, name)
 
     rate_curve = tpr_sweep(10_000, 0.95, 0.8)
-    closing = rate_curve.points[-1].report
+    closing = evaluate_all(rate_curve.matrices[-1])
     assert rate_curve.keys[-1] == 1.0
     assert abs((closing.f1.value - closing.mcc_scaled.value) - 0.05) <= 0.006
 
@@ -195,8 +193,7 @@ def test_simulation_reproduces_reference_studies():
 def test_sweep_matches_independent_oracles(demo_samples, demo_pairs):
     curve = threshold_sweep(demo_samples)
     assert len(curve.keys) == 101
-    for tau, point in zip(curve.keys, curve.points):
-        m = point.matrix
+    for tau, m in zip(curve.keys, curve.matrices):
         assert (m.tp, m.fp, m.fn, m.tn) == oracles.classify_counts(demo_pairs, tau)
 
     for y_name in ("f1", "p4"):
@@ -230,8 +227,8 @@ def test_cli_round_trip_and_error_statuses(capsys, tmp_path):
     key_column, rows = csvio.read_rows(path)
     assert key_column == "case"
     assert [key for key, _, _ in rows] == ["C1", "C2", "C3", "C4"]
-    for _, matrix, parsed_report in rows:
-        assert evaluate_all(matrix) == parsed_report
+    for _, matrix, parsed_row in rows:
+        assert csvio.row(matrix) == parsed_row
 
     empty = tmp_path / "empty.csv"
     empty.write_text("")

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from p4metrics import csvio, evaluate_all, read_curve_csv, svg, threshold_sweep
+from p4metrics import csvio, read_curve_csv, svg, threshold_sweep
 from p4metrics.cli import main
 from conftest import DEMO_CSV, FIXTURES
 
@@ -25,6 +25,10 @@ def golden_curve():
     """The demo curve CSV: the pinned --pair mcc-f1 stdout without its summary line."""
     lines = (FIXTURES / "golden" / "sweep_mcc-f1.txt").read_text().splitlines(keepends=True)
     return "".join(lines[:-1])
+
+
+def cell(row, name):
+    return row[csvio.COLUMNS.index(name)]
 
 
 def run_cli(capsys, *argv):
@@ -125,8 +129,8 @@ class TestEval:
         assert rc == 0
         key_column, rows = csvio.read_rows(path)
         assert key_column is None
-        [(_, matrix, report)] = rows
-        assert evaluate_all(matrix) == report
+        [(_, matrix, row)] = rows
+        assert csvio.row(matrix) == row
 
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.txt"
@@ -154,8 +158,8 @@ class TestCases:
         key_column, rows = csvio.read_rows(path)
         assert key_column == "case"
         assert [key for key, _, _ in rows] == ["C1", "C2", "C3", "C4"]
-        for _, matrix, parsed_report in rows:
-            assert evaluate_all(matrix) == parsed_report
+        for _, matrix, parsed_row in rows:
+            assert csvio.row(matrix) == parsed_row
 
     def test_json_matches_csv(self, capsys):
         rc, csv_out, _ = run_cli(capsys, "cases", "--format", "csv")
@@ -181,7 +185,7 @@ class TestSimulate:
         key_column, rows = csvio.read_rows(path)
         assert key_column == "pos_fraction"
         assert len(rows) == 99
-        assert all(f"{report.j_scaled.value:.4f}" == "0.1000" for _, _, report in rows)
+        assert all(f"{cell(row, 'j_scaled'):.4f}" == "0.1000" for _, _, row in rows)
 
     def test_tpr_endpoint_gap(self, capsys, tmp_path):
         path = tmp_path / "tpr.csv"
@@ -191,8 +195,8 @@ class TestSimulate:
         )
         assert rc == 0
         _, rows = csvio.read_rows(path)
-        _, _, report = rows[-1]
-        assert abs((report.f1.value - report.mcc_scaled.value) - 0.05) <= 0.006
+        _, _, row = rows[-1]
+        assert abs((cell(row, "f1") - cell(row, "mcc_scaled")) - 0.05) <= 0.006
 
     def test_svg_output(self, capsys, tmp_path):
         path = tmp_path / "balance.csv"
@@ -359,6 +363,36 @@ def test_failed_chart_leaves_no_curve(capsys, tmp_path, command):
     assert err.startswith("p4metrics: error: ") and err.count("\n") == 1
     assert out == ""
     assert not (tmp_path / "X.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "balance", "--tnr", "0.5"], "p4metrics: error: simulate balance needs --tpr"),
+    (["sweep", "--file", "x", "--delta", "abc"], "p4metrics sweep: error: argument --delta: invalid float value: 'abc'"),
+    (["frobnicate"], "p4metrics: error: argument command: invalid choice: 'frobnicate'"),
+], ids=["missing-tpr", "bad-delta", "unknown-command"])
+def test_a_usage_error_is_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+def test_svg_is_utf8_whatever_the_locale(tmp_path):
+    name = "démo∆.csv".encode()
+    # a bytes path, so the name is the same whatever this process's locale
+    with open(os.path.join(os.fsencode(tmp_path), name), "wb") as fh:
+        fh.write(DEMO_CSV.read_bytes())
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src"),
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+    done = subprocess.run(
+        [sys.executable.encode(), b"-m", b"p4metrics", b"sweep", b"--file", name, b"--out", b"c.csv", b"--svg"],
+        capture_output=True, cwd=tmp_path, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "c.csv").read_text() == golden_curve()
+    assert name[:-4] in (tmp_path / "c.svg").read_bytes()
 
 
 def test_python_m_runs_the_cli(capsys):

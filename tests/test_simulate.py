@@ -11,6 +11,7 @@ from p4metrics import (
     balance_sweep,
     confusion_from_rates,
     edge_cases,
+    evaluate_all,
     swap_labels,
     tpr_sweep,
 )
@@ -59,7 +60,7 @@ class TestConfusionFromRates:
         # 0.57 * 1750 is 997.4999999999999 in float; 997.5 rounds up to 998
         assert confusion_from_rates(SimulationSpec(1750, 0.57, 0.5, 0.5)).actual_positives == 998
         series = balance_sweep(1750, 0.5, 0.5)
-        assert series.keys[56] == 0.57 and series.points[56].matrix.actual_positives == 998
+        assert series.keys[56] == 0.57 and series.matrices[56].actual_positives == 998
         # the exact binary value of 0.15 is below 0.15, yet 0.15 * 10 = 1.5 rounds to 2
         assert confusion_from_rates(SimulationSpec(10, 0.15, 1.0, 1.0)).actual_positives == 2
 
@@ -114,24 +115,22 @@ class TestBalanceSweep:
         assert series.key_column == "pos_fraction"
 
     def test_youden_is_insensitive_to_balance(self, series):
-        for point in series.points:
-            assert abs(point.report.j_scaled.value - 0.1) <= 1e-12
+        for matrix in series.matrices:
+            assert abs(evaluate_all(matrix).j_scaled.value - 0.1) <= 1e-12
 
     def test_mirror_fractions_swap_matrices(self, series):
-        n = len(series.points)
-        for i in range(n):
-            assert series.points[n - 1 - i].matrix == swap_labels(series.points[i].matrix)
+        matrices = series.matrices
+        assert matrices[::-1] == tuple(map(swap_labels, matrices))
 
     def test_symmetric_metrics_mirror_exactly(self, series):
-        n = len(series.points)
+        reports = [evaluate_all(matrix) for matrix in series.matrices]
         for name in ("p4", "mcc_scaled", "j_scaled", "mk_scaled"):
-            for i in range(n):
-                a = getattr(series.points[i].report, name)
-                b = getattr(series.points[n - 1 - i].report, name)
-                assert a == b
+            for report, mirror in zip(reports, reversed(reports)):
+                assert getattr(report, name) == getattr(mirror, name)
 
     def test_f1_is_not_mirror_symmetric(self, series):
-        assert series.points[0].report.f1.value != series.points[-1].report.f1.value
+        first, last = evaluate_all(series.matrices[0]), evaluate_all(series.matrices[-1])
+        assert first.f1.value != last.f1.value
 
 
 class TestTprSweep:
@@ -147,25 +146,26 @@ class TestTprSweep:
         assert series.key_column == "tpr"
 
     def test_full_recall_endpoint(self, series):
-        last = series.points[-1]
-        assert last.matrix == ConfusionMatrix(9500, 100, 0, 400)
-        gap = last.report.f1.value - last.report.mcc_scaled.value
+        assert series.matrices[-1] == ConfusionMatrix(9500, 100, 0, 400)
+        last = evaluate_all(series.matrices[-1])
+        gap = last.f1.value - last.mcc_scaled.value
         assert abs(gap - 0.05) <= 0.006
 
     def test_zero_recall_endpoint(self, series):
-        first = series.points[0]
-        assert first.report.rec.value == 0.0
-        assert first.report.p4.value == 0.0
+        first = evaluate_all(series.matrices[0])
+        assert first.rec.value == 0.0
+        assert first.p4.value == 0.0
 
     def test_midpoint_matches_oracle(self, series):
-        mid = series.points[50]
+        matrix = series.matrices[50]
         assert series.keys[50] == 0.5
-        counts = (mid.matrix.tp, mid.matrix.fp, mid.matrix.fn, mid.matrix.tn)
+        counts = (matrix.tp, matrix.fp, matrix.fn, matrix.tn)
         assert counts == (4750, 100, 4750, 400)
-        assert abs(mid.report.p4.value - float(oracles.p4(*counts))) <= 1e-12
-        assert abs(mid.report.mcc_scaled.value - float(oracles.scaled(oracles.mcc(*counts)))) <= 1e-12
+        mid = evaluate_all(matrix)
+        assert abs(mid.p4.value - float(oracles.p4(*counts))) <= 1e-12
+        assert abs(mid.mcc_scaled.value - float(oracles.scaled(oracles.mcc(*counts)))) <= 1e-12
         # the scaled-MCC/P4 gap sits near 0.3 through the first half
-        assert abs((mid.report.mcc_scaled.value - mid.report.p4.value) - 0.3) <= 0.05
+        assert abs((mid.mcc_scaled.value - mid.p4.value) - 0.3) <= 0.05
 
 
 class TestEdgeCases:

@@ -31,6 +31,15 @@ import oracles
 SEPARABLE = samples_from([(0.9, True), (0.2, False)])
 
 
+def key_rows(series):
+    """The row of each key's run, one per key."""
+    return [row for start, end, row in series.runs for _ in range(start, end)]
+
+
+def cell(row, name):
+    return row[csvio.COLUMNS.index(name)]
+
+
 @st.composite
 def hard_sweeps(draw):
     """(delta, pairs) on an odd grid, with scores often tied and often equal
@@ -115,8 +124,7 @@ class TestMakeGrid:
         pairs = [(keys[i], is_positive) for i, is_positive in drawn]
         curve = threshold_sweep(samples_from(pairs), tau0, tau_n, delta)
         assert curve.keys == keys
-        for j, (tau, point) in enumerate(zip(curve.keys, curve.points)):
-            matrix = point.matrix
+        for j, (tau, matrix) in enumerate(zip(curve.keys, curve.matrices)):
             assert (matrix.tp, matrix.fp, matrix.fn, matrix.tn) == oracles.classify_counts(pairs, tau)
             assert matrix.predicted_positives == sum(1 for i, _ in drawn if i > j)
 
@@ -138,12 +146,12 @@ class TestThresholdSweep:
     def test_separable_pair_three_points(self):
         curve = threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5)
         assert curve.keys == (0.0, 0.5, 1.0)
-        assert [p.matrix.predicted_positives for p in curve.points] == [2, 1, 0]
+        assert [m.predicted_positives for m in curve.matrices] == [2, 1, 0]
 
     def test_constant_scores_flip_at_half(self):
         samples = samples_from([(0.5, True), (0.5, False)])
         curve = threshold_sweep(samples, 0.0, 1.0, 0.25)
-        matrices = [p.matrix for p in curve.points]
+        matrices = curve.matrices
         assert matrices[0] == matrices[1]  # tau 0 and 0.25: everything positive
         assert matrices[2].predicted_positives == 0  # strict comparison at 0.5
 
@@ -155,19 +163,18 @@ class TestThresholdSweep:
         curve = threshold_sweep(demo_samples)
         assert len(curve.keys) == 101
         index = curve.keys.index(0.5)
-        matrix = curve.points[index].matrix
+        matrix = curve.matrices[index]
         assert (matrix.tp, matrix.fp, matrix.fn, matrix.tn) == DEMO_COUNTS_AT_HALF
 
     def test_predicted_positives_non_increasing(self, demo_samples):
         curve = threshold_sweep(demo_samples)
-        counts = [p.matrix.predicted_positives for p in curve.points]
+        counts = [m.predicted_positives for m in curve.matrices]
         assert counts == sorted(counts, reverse=True)
-        assert {p.matrix.population for p in curve.points} == {200}
+        assert {m.population for m in curve.matrices} == {200}
 
     def test_reports_match_recomputation(self, demo_samples):
         curve = threshold_sweep(demo_samples, delta=0.05)
-        for point in curve.points:
-            assert point.report == evaluate_all(point.matrix)
+        assert key_rows(curve) == [csvio.row(matrix) for matrix in curve.matrices]
 
     @settings(max_examples=200, deadline=None)
     @given(hard_sweeps())
@@ -175,10 +182,9 @@ class TestThresholdSweep:
         delta, pairs = case
         curve = threshold_sweep(samples_from(pairs), delta=delta)
         assert curve.keys == make_grid(0.0, 1.0, delta)
-        for tau, point in zip(curve.keys, curve.points):
-            matrix = point.matrix
+        for tau, matrix, row in zip(curve.keys, curve.matrices, key_rows(curve), strict=True):
             assert (matrix.tp, matrix.fp, matrix.fn, matrix.tn) == oracles.classify_counts(pairs, tau)
-            assert point.report == evaluate_all(matrix)
+            assert row == csvio.row(matrix)
         for y_name in ("f1", "p4"):
             oracle = oracles.best_threshold(curve.keys, pairs, y_name)
             if oracle is None:
@@ -189,7 +195,7 @@ class TestThresholdSweep:
             assert abs(best.distance - float(oracle[1])) <= 1e-12
             # the smallest tau whose float distance equals the optimum's
             assert best.tau == min(
-                tau for tau, point in zip(curve.keys, curve.points) if float_distance(point, y_name) == best.distance
+                tau for tau, matrix in zip(curve.keys, curve.matrices) if float_distance(matrix, y_name) == best.distance
             )
 
     def test_evaluates_each_distinct_matrix_once(self, demo_samples, monkeypatch):
@@ -228,16 +234,16 @@ class TestThresholdSweep:
         curve = threshold_sweep(demo_samples, tau0, tau_n, delta=0.0001)
         assert len(curve.keys) == round((tau_n - tau0) / 0.0001) + 1
         assert calls <= len({*demo_samples.positive_scores, *demo_samples.negative_scores}) + 1
-        for tau, point in zip(curve.keys, curve.points):
-            assert point.matrix == matrix_at(demo_samples, tau)
+        for tau, matrix in zip(curve.keys, curve.matrices):
+            assert matrix == matrix_at(demo_samples, tau)
 
     def test_halving_delta_keeps_coarse_points(self, demo_samples):
         coarse = threshold_sweep(demo_samples, delta=0.02)
         fine = threshold_sweep(demo_samples, delta=0.01)
-        fine_by_tau = dict(zip(fine.keys, fine.points))
-        for tau, point in zip(coarse.keys, coarse.points):
+        fine_by_tau = dict(zip(fine.keys, fine.matrices))
+        for tau, matrix in zip(coarse.keys, coarse.matrices):
             assert tau in fine_by_tau
-            assert fine_by_tau[tau].matrix == point.matrix
+            assert fine_by_tau[tau] == matrix
 
 
 class TestPairedCurve:
@@ -247,28 +253,28 @@ class TestPairedCurve:
         curve = threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5)
         perfect = [
             tau
-            for tau, point in zip(curve.keys, curve.points)
-            if point.report.mcc_scaled.value == 1.0 and point.report.f1.value == 1.0
+            for tau, row in zip(curve.keys, key_rows(curve))
+            if cell(row, "mcc_scaled") == 1.0 and cell(row, "f1") == 1.0
         ]
         assert perfect == [0.5]
 
     def test_all_negative_endpoint_is_flagged(self, demo_samples):
         curve = threshold_sweep(demo_samples)
         assert curve.keys[-1] == 1.0
-        last = curve.points[-1].report
+        last = evaluate_all(curve.matrices[-1])
         assert not last.mcc_scaled.is_defined  # MCC has an empty predicted-positive margin
         assert last.f1.value == 0.0  # F1 closed form survives with tp = 0
 
     def test_points_match_per_point_recomputation(self, demo_samples):
         curve = threshold_sweep(demo_samples, delta=0.1)
+        reports = [evaluate_all(matrix) for matrix in curve.matrices]
         for y_name in ("f1", "p4"):
-            for tau, point in zip(curve.keys, curve.points):
-                report = evaluate_all(point_matrix(curve, tau))
-                assert point.report.mcc_scaled == report.mcc_scaled
-                assert getattr(point.report, y_name) == getattr(report, y_name)
+            for row, report in zip(key_rows(curve), reports, strict=True):
+                assert cell(row, "mcc_scaled") == report.mcc_scaled.value
+                assert cell(row, y_name) == getattr(report, y_name).value
         assert any(
             report.f1.is_defined and report.p4.is_defined and report.f1.value != report.p4.value
-            for report in (point.report for point in curve.points)
+            for report in reports
         )
 
     def test_unknown_metric_rejected(self, demo_samples):
@@ -285,13 +291,10 @@ def format_value(value):
     return repr(value.value) if value.is_defined else "nan"
 
 
-def point_matrix(curve, tau):
-    return curve.points[curve.keys.index(tau)].matrix
-
-
-def float_distance(point, y_name):
-    """The point's float distance to (1, 1), or None with an undefined coordinate."""
-    x, y = point.report.mcc_scaled, getattr(point.report, y_name)
+def float_distance(matrix, y_name):
+    """The matrix's float distance to (1, 1), or None with an undefined coordinate."""
+    report = evaluate_all(matrix)
+    x, y = report.mcc_scaled, getattr(report, y_name)
     if not (x.is_defined and y.is_defined):
         return None
     return math.hypot(1.0 - x.value, 1.0 - y.value)
@@ -342,15 +345,6 @@ class TestMetricSeries:
         matrix = ConfusionMatrix(1, 2, 3, 4)
         assert MetricSeries("tpr", (0.0, 1.0), (matrix, matrix)).keys == (0.0, 1.0)
 
-    def test_points_view_shares_one_report_per_run(self):
-        a, b = ConfusionMatrix(1, 2, 3, 4), ConfusionMatrix(0, 0, 3, 4)
-        series = MetricSeries("tpr", (0.0, 0.25, 0.5, 1.0), (a, ConfusionMatrix(1, 2, 3, 4), b, b))
-        assert [(start, end) for start, end, _ in series.runs] == [(0, 2), (2, 4)]
-        points = series.points
-        assert [point.matrix for point in points] == [a, a, b, b]
-        assert [point.report for point in points] == [evaluate_all(a)] * 2 + [evaluate_all(b)] * 2
-        assert points[0].report is points[1].report and points[2].report is points[3].report
-
 
 class TestCurveCsv:
     def test_round_trip_is_lossless(self, demo_samples, tmp_path):
@@ -362,16 +356,16 @@ class TestCurveCsv:
 
         parsed = read_curve_csv(path)
         assert parsed.keys == curve.keys
-        for ours, theirs in zip(curve.points, parsed.points):
-            assert ours.matrix == theirs.matrix
-            assert ours.report == theirs.report
+        assert parsed.matrices == curve.matrices
+        assert key_rows(parsed) == key_rows(curve)
 
     def test_shared_points_write_the_bytes_of_row_by_row_formatting(self, demo_samples):
         curve = threshold_sweep(demo_samples, delta=0.0001)
         buffer = io.StringIO()
         write_curve_csv(curve, buffer)
         lines = [",".join(("tau", *csvio.COUNT_COLUMNS, *METRIC_NAMES))]
-        for tau, (matrix, report) in zip(curve.keys, curve.points):
+        for tau, matrix in zip(curve.keys, curve.matrices):
+            report = evaluate_all(matrix)
             counts = (str(count) for count in (matrix.tp, matrix.fp, matrix.fn, matrix.tn))
             lines.append(",".join((repr(tau), *counts, *map(format_value, report.as_dict().values()))))
         written = buffer.getvalue().split("\n")
@@ -385,7 +379,7 @@ class TestCurveCsv:
         matrices = (ConfusionMatrix(1, 2, 3, 4), ConfusionMatrix(0, 0, 5, 5))
         rows = [(key, matrices[second]) for key, second in rows]
         buffer = io.StringIO()
-        csvio.write_rows(buffer, rows, key_column="case")
+        csvio.write_rows(buffer, [(key, csvio.row(matrix)) for key, matrix in rows], key_column="case")
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(("case", *csvio.COUNT_COLUMNS, *METRIC_NAMES))
@@ -406,6 +400,24 @@ class TestCurveCsv:
         for y_name in ("f1", "p4"):
             assert optimal_threshold(parsed, y_name) == optimal_threshold(curve, y_name)
 
+    def test_read_back_evaluates_each_run_once_per_pass(self, demo_samples, tmp_path, monkeypatch):
+        curve = threshold_sweep(demo_samples, delta=0.0001)
+        path = tmp_path / "curve.csv"
+        with open(path, "w", newline="") as fh:
+            write_curve_csv(curve, fh)
+        calls = 0
+        closed_forms = csvio._closed_forms
+
+        def counted(*counts):
+            nonlocal calls
+            calls += 1
+            return closed_forms(*counts)
+
+        monkeypatch.setattr(csvio, "_closed_forms", counted)
+        assert read_curve_csv(path) == curve
+        # once where the reader checks a run's cells, once where the series evaluates it
+        assert calls == 2 * len(curve.runs) == 338
+
     def test_undefined_round_trips_as_nan(self, tmp_path):
         curve = threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5)
         buffer = io.StringIO()
@@ -415,7 +427,7 @@ class TestCurveCsv:
         path = tmp_path / "curve.csv"
         path.write_text(text)
         parsed = read_curve_csv(path)
-        assert not parsed.points[-1].report.mcc.is_defined
+        assert cell(key_rows(parsed)[-1], "mcc") is None
 
     def test_non_increasing_keys_rejected(self, tmp_path):
         buffer = io.StringIO()
@@ -438,7 +450,7 @@ class TestCurveCsv:
         matrix = ConfusionMatrix(1, 2, 3, 4)
         path = tmp_path / "cases.csv"
         with open(path, "w") as fh:
-            csvio.write_rows(fh, [("C1", matrix)], key_column="case")
+            csvio.write_rows(fh, [("C1", csvio.row(matrix))], key_column="case")
         with pytest.raises(CsvFormatError):
             read_curve_csv(path)
 
@@ -447,7 +459,7 @@ class TestCurveCsv:
         path = tmp_path / "cases.csv"
         with open(path, "w", newline="") as fh:
             # the key "C\n1" is quoted across lines 2-3, so the bad row is on line 4
-            csvio.write_rows(fh, [("C\n1", matrix)], key_column="case")
+            csvio.write_rows(fh, [("C\n1", csvio.row(matrix))], key_column="case")
             fh.write("C2,1\n")
         assert path.read_text().split("\n")[3] == "C2,1"
         with pytest.raises(CsvFormatError, match="line 4: expected"):
