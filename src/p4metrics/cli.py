@@ -111,8 +111,8 @@ def _emit_series(series: sweep.MetricSeries, args, lines, title: str, x_label: s
     _emit(_captured(lambda buffer: sweep.write_curve_csv(series, buffer)), args.out)
     if args.svg:
         try:
-            curves = tuple(svg.Series(name, _chart_points(series, x, y)) for name, x, y in lines)
-            svg.write_svg(svg.PlotSpec(title, x_label, y_label, curves), Path(args.out).with_suffix(".svg"))
+            curves = [(name, _chart_points(series, x, y)) for name, x, y in lines]
+            svg.write_svg(Path(args.out).with_suffix(".svg"), title, x_label, y_label, curves)
         except BaseException:
             Path(args.out).unlink(missing_ok=True)
             raise

@@ -168,10 +168,10 @@ def read_scored_csv(path: str | Path) -> ScoredSamples:
     """Read a `score,label` CSV of scored samples, strictly.
 
     The header is required.  Scores must be decimals in [0, 1] and labels one
-    of 1/0/positive/negative (case-insensitive); anything else, a field over
-    the csv module's size limit included, aborts with a SampleParseError that
-    names the physical line the first bad record starts on.  A file with a
-    header but no data rows raises EmptyInputError.
+    of 1/0/positive/negative (case-insensitive); anything else, a byte that
+    is not UTF-8 or a field over the csv module's size limit included, aborts
+    with a SampleParseError that names the physical line the first bad record
+    starts on.  A file with a header but no data rows raises EmptyInputError.
 
     Lines are read in chunks and counted, and each distinct line is checked
     once, so parsing costs O(n) hashing plus O(D log D) for D distinct scores,
@@ -179,7 +179,7 @@ def read_scored_csv(path: str | Path) -> ScoredSamples:
     on, the rest of the file goes through one `csv.reader`, whose rows are
     counted instead, since a quoted field may span lines.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         return parse_scored_csv(fh)
 
 
@@ -191,7 +191,7 @@ def parse_scored_csv(lines: Iterable[str]) -> ScoredSamples:
     except StopIteration:
         raise EmptyInputError("file is empty") from None
     except csv.Error as exc:
-        raise SampleParseError(reader.line_num, str(exc)) from None
+        raise SampleParseError(1, str(exc)) from None
     if [column.strip().lower() for column in header] != ["score", "label"]:
         raise SampleParseError(1, f"expected header 'score,label', got {','.join(header)!r}")
 

@@ -7,8 +7,9 @@ counts: each rate is one float division, F1 and P4 are integer closed forms
 with one division each, MCC's closed form takes one division and one square
 root, J and MK are two rates minus 1, and a scaled metric is `(x + 1) / 2`.
 So results are bit-reproducible and exactly symmetric under label swapping.
-Each metric's declared range is given once, in `METRIC_RANGES`, which the CSV
-readers check.
+Each metric's declared range is given once, in `METRIC_RANGES`, which every
+returned `MetricValue` is checked against; the CSV readers instead check that
+each metric cell is the value `_closed_forms` gives for the row's counts.
 """
 
 from __future__ import annotations

@@ -8,32 +8,20 @@ polyline into segments instead of being drawn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
+_WIDTH = 720
+_HEIGHT = 480
 _MARGIN_LEFT = 56
 _MARGIN_RIGHT = 16
 _MARGIN_TOP = 34
 _MARGIN_BOTTOM = 46
 _TICKS = 5
-
-
-@dataclass(frozen=True)
-class Series:
-    name: str
-    points: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
-class PlotSpec:
-    title: str
-    x_label: str
-    y_label: str
-    series: tuple[Series, ...]
-    width: int = 720
-    height: int = 480
+# chart curves: (legend name, (x, y) points) pairs
+_Curves = Sequence[tuple[str, Sequence[tuple[float, float]]]]
 
 
 def _escape(text: str) -> str:
@@ -48,16 +36,16 @@ def _bounds(values: list[float]) -> tuple[float, float]:
     return lo, hi
 
 
-def render_line_chart(spec: PlotSpec) -> str:
-    xs = [x for s in spec.series for x, y in s.points if math.isfinite(x) and math.isfinite(y)]
-    ys = [y for s in spec.series for x, y in s.points if math.isfinite(x) and math.isfinite(y)]
+def render_line_chart(title: str, x_label: str, y_label: str, curves: _Curves) -> str:
+    xs = [x for _, curve in curves for x, y in curve if math.isfinite(x) and math.isfinite(y)]
+    ys = [y for _, curve in curves for x, y in curve if math.isfinite(x) and math.isfinite(y)]
     if not xs:
         raise ValueError("nothing to plot: every point has a non-finite coordinate")
     x_lo, x_hi = _bounds(xs)
     y_lo, y_hi = _bounds(ys)
 
-    plot_w = spec.width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = spec.height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -66,11 +54,11 @@ def render_line_chart(spec: PlotSpec) -> str:
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
-        f'<rect width="{spec.width}" height="{spec.height}" fill="white"/>',
-        f'<text x="{spec.width / 2:.1f}" y="20" font-family="sans-serif" font-size="14" '
-        f'text-anchor="middle">{_escape(spec.title)}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" font-family="sans-serif" font-size="14" '
+        f'text-anchor="middle">{_escape(title)}</text>',
     ]
 
     axis_y = _MARGIN_TOP + plot_h
@@ -97,19 +85,19 @@ def render_line_chart(spec: PlotSpec) -> str:
         )
 
     parts.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{spec.height - 8}" font-family="sans-serif" '
-        f'font-size="12" text-anchor="middle">{_escape(spec.x_label)}</text>'
+        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 8}" font-family="sans-serif" '
+        f'font-size="12" text-anchor="middle">{_escape(x_label)}</text>'
         f'<text x="14" y="{_MARGIN_TOP + plot_h / 2:.1f}" font-family="sans-serif" font-size="12" '
         f'text-anchor="middle" transform="rotate(-90 14 {_MARGIN_TOP + plot_h / 2:.1f})">'
-        f"{_escape(spec.y_label)}</text>"
+        f"{_escape(y_label)}</text>"
     )
 
-    for index, series in enumerate(spec.series):
+    for index, (_, curve) in enumerate(curves):
         color = PALETTE[index % len(PALETTE)]
         # split at non-finite points so undefined values leave visible gaps,
         # and draw a point repeated from the one before it only once
         segments: list[list[tuple[float, float]]] = [[]]
-        for (x, y), previous in zip(series.points, (None, *series.points)):
+        for (x, y), previous in zip(curve, (None, *curve)):
             if (x, y) == previous:
                 continue
             if math.isfinite(x) and math.isfinite(y):
@@ -126,22 +114,22 @@ def render_line_chart(spec: PlotSpec) -> str:
 
     legend_x = _MARGIN_LEFT + plot_w - 110
     legend_y = _MARGIN_TOP + 8
-    for index, series in enumerate(spec.series):
+    for index, (name, _) in enumerate(curves):
         color = PALETTE[index % len(PALETTE)]
         y = legend_y + index * 16
         parts.append(
             f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 22}" y2="{y}" '
             f'stroke="{color}" stroke-width="2"/>'
             f'<text x="{legend_x + 28}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="11">{_escape(series.name)}</text>'
+            f'font-size="11">{_escape(name)}</text>'
         )
 
     parts.append("</svg>")
     return "".join(parts)
 
 
-def write_svg(spec: PlotSpec, path: str | Path) -> None:
+def write_svg(path: str | Path, title: str, x_label: str, y_label: str, curves: _Curves) -> None:
     """Write the chart as UTF-8, whatever the locale.  A file name the locale
     could not decode reaches the title as surrogates; they are written back as
     the name's own bytes."""
-    Path(path).write_bytes(render_line_chart(spec).encode("utf-8", "surrogateescape"))
+    Path(path).write_bytes(render_line_chart(title, x_label, y_label, curves).encode("utf-8", "surrogateescape"))

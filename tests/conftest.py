@@ -35,6 +35,18 @@ def samples_from(pairs):
     )
 
 
+# 2,000 good rows, so that a bad byte after them lies past the first 8 KB
+_GOOD_ROWS = b"0.5,1\n" * 2000
+# scored CSVs, each with one byte that is not UTF-8 past the first 8 KB, with
+# the line it is on and the start of the message that names it
+NON_UTF8_CSVS = {
+    "score": (b"score,label\n" + _GOOD_ROWS + b"0.\xff5,1\n", 2002, r"line 2002: bad score '0.\udcff5'"),
+    "label": (b"score,label\n" + _GOOD_ROWS + b"0.5,\xff\n", 2002, r"line 2002: unknown label '\udcff'"),
+    "header": (b"score" + b" " * 9000 + b",lab\xffel\n0.5,1\n", 1, "line 1: expected header 'score,label'"),
+    "quoted": (b'score,label\n"0.5",1\n' + _GOOD_ROWS + b"0.\xff5,1\n", 2003, r"line 2003: bad score '0.\udcff5'"),
+}
+
+
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from p4metrics import csvio, read_curve_csv, svg, threshold_sweep
 from p4metrics.cli import main
-from conftest import DEMO_CSV, FIXTURES
+from conftest import DEMO_CSV, FIXTURES, NON_UTF8_CSVS
 
 
 BOTH_OPTIMA = (
@@ -335,9 +335,9 @@ class TestSweep:
         assert list(tmp_path.iterdir()) == []
 
     def test_svg_output(self, capsys, tmp_path, monkeypatch, demo_samples):
-        specs = []
+        charts = []
         write_svg = svg.write_svg
-        monkeypatch.setattr(svg, "write_svg", lambda spec, path: (specs.append(spec), write_svg(spec, path)))
+        monkeypatch.setattr(svg, "write_svg", lambda path, *chart: (charts.append(chart), write_svg(path, *chart)))
         out = tmp_path / "curves.csv"
         rc, _, _ = run_cli(
             capsys, "sweep", "--file", str(DEMO_CSV), "--pair", "both",
@@ -349,7 +349,7 @@ class TestSweep:
         # the chart is handed one point per run of equal matrices
         runs = len(threshold_sweep(demo_samples).runs)
         assert runs == 84
-        assert [len(series.points) for series in specs[0].series] == [runs, runs]
+        assert [len(points) for _, points in charts[0][-1]] == [runs, runs]
 
 
 @pytest.mark.parametrize("command", [
@@ -367,9 +367,10 @@ def test_failed_chart_leaves_no_curve(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "balance", "--tnr", "0.5"], "p4metrics: error: simulate balance needs --tpr"),
+    (["simulate", "tpr", "--tnr", "0.5"], "p4metrics: error: simulate tpr needs --pos"),
     (["sweep", "--file", "x", "--delta", "abc"], "p4metrics sweep: error: argument --delta: invalid float value: 'abc'"),
     (["frobnicate"], "p4metrics: error: argument command: invalid choice: 'frobnicate'"),
-], ids=["missing-tpr", "bad-delta", "unknown-command"])
+], ids=["missing-tpr", "missing-pos", "bad-delta", "unknown-command"])
 def test_a_usage_error_is_one_line(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
@@ -377,6 +378,17 @@ def test_a_usage_error_is_one_line(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", NON_UTF8_CSVS)
+def test_a_byte_that_is_not_utf8_exits_2_on_one_line(capsys, tmp_path, case):
+    data, _, message = NON_UTF8_CSVS[case]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    rc, out, err = run_cli(capsys, "eval", "--file", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"p4metrics: error: {message}") and err.count("\n") == 1
 
 
 def test_svg_is_utf8_whatever_the_locale(tmp_path):

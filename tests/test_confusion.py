@@ -20,7 +20,7 @@ from p4metrics import (
     swap_labels,
 )
 from p4metrics import confusion
-from conftest import DEMO_COUNTS_AT_HALF, DEMO_CSV, matrices, samples_from, scored_pairs, unit_floats
+from conftest import DEMO_COUNTS_AT_HALF, DEMO_CSV, NON_UTF8_CSVS, matrices, samples_from, scored_pairs, unit_floats
 import oracles
 
 
@@ -307,6 +307,23 @@ class TestScoredCsv:
     def test_oversized_field_is_line_numbered(self):
         with pytest.raises(SampleParseError, match="line 3"):
             parse_scored_csv(["score,label\n", "0.5,1\n", "0." + "1" * 200_000 + ",1\n"])
+
+    @pytest.mark.parametrize("header", ["score," + "x" * 200_000, '"score\n' + "x" * 200_000 + '",label'],
+                             ids=["one-line", "two-line"])
+    def test_an_oversized_header_is_named_by_line_1(self, header):
+        lines = io.StringIO(header + "\n0.5,1\n", newline="")
+        with pytest.raises(SampleParseError, match=r"^line 1: field larger than field limit"):
+            parse_scored_csv(lines)
+
+    @pytest.mark.parametrize("case", NON_UTF8_CSVS)
+    def test_a_byte_that_is_not_utf8_is_line_numbered(self, tmp_path, case):
+        data, line, message = NON_UTF8_CSVS[case]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(SampleParseError) as info:
+            read_scored_csv(path)
+        assert info.value.line == line
+        assert str(info.value).startswith(message)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -1,5 +1,6 @@
 """The README's command lines and Python examples run as written."""
 
+import importlib
 import re
 import shlex
 import shutil
@@ -52,3 +53,18 @@ def test_python_examples_run(readme_dir):
     namespace = {}
     for index, block in enumerate(blocks, start=1):
         exec(compile(block, f"README.md python block {index}", "exec"), namespace)
+
+
+def test_qualified_names_resolve():
+    # bare names, as in the paragraphs on names gone with no alias, are not matched
+    names = set(re.findall(r"`(p4metrics(?:\.\w+)+)`", README.read_text()))
+    assert names == {
+        "p4metrics.csvio.read_rows", "p4metrics.metrics.METRIC_RANGES", "p4metrics.read_curve_csv",
+        "p4metrics.simulate", "p4metrics.sweep.MAX_GRID_SIZE",
+    }
+    for name in sorted(names):
+        try:
+            importlib.import_module(name)
+        except ModuleNotFoundError:  # not a module, so an attribute of one
+            module, _, attr = name.rpartition(".")
+            assert hasattr(importlib.import_module(module), attr), name

@@ -345,6 +345,14 @@ class TestMetricSeries:
         matrix = ConfusionMatrix(1, 2, 3, 4)
         assert MetricSeries("tpr", (0.0, 1.0), (matrix, matrix)).keys == (0.0, 1.0)
 
+    def test_rejects_keys_and_matrices_of_unequal_length(self):
+        with pytest.raises(ValueError, match="equal length"):
+            MetricSeries("tau", (0.0, 1.0), (ConfusionMatrix(1, 2, 3, 4),))
+
+    def test_rejects_an_unknown_key_column(self):
+        with pytest.raises(BadGridError, match="^unknown key column 'case'"):
+            MetricSeries("case", (0.5,), (ConfusionMatrix(1, 2, 3, 4),))
+
 
 class TestCurveCsv:
     def test_round_trip_is_lossless(self, demo_samples, tmp_path):
@@ -446,12 +454,18 @@ class TestCurveCsv:
         path.write_text(buffer.getvalue())
         assert read_curve_csv(path) == series
 
-    def test_case_keyed_csv_rejected(self, tmp_path):
-        matrix = ConfusionMatrix(1, 2, 3, 4)
+    @pytest.mark.parametrize("keys, key_column, message", [
+        (["C1"], "case", "^line 2: bad value 'C1' for case$"),
+        ([""], None, r"^expected a key column out of \('tau', 'pos_fraction', 'tpr'\), got None$"),
+        (["0.25", "0.5"], "case", r"^expected a key column out of \('tau', 'pos_fraction', 'tpr'\), got 'case'$"),
+    ], ids=["named-cases", "no-key-column", "numeric-cases"])
+    def test_case_keyed_csv_rejected(self, tmp_path, keys, key_column, message):
+        # the `cases` and `eval --format csv` layouts are not series
+        values = csvio.row(ConfusionMatrix(1, 2, 3, 4))
         path = tmp_path / "cases.csv"
         with open(path, "w") as fh:
-            csvio.write_rows(fh, [("C1", csvio.row(matrix))], key_column="case")
-        with pytest.raises(CsvFormatError):
+            csvio.write_rows(fh, [(key, values) for key in keys], key_column=key_column)
+        with pytest.raises(CsvFormatError, match=message):
             read_curve_csv(path)
 
     def test_quoted_newline_keeps_physical_line_numbers(self, tmp_path):
@@ -543,6 +557,37 @@ class TestCurveCsv:
         path.write_text(buffer.getvalue(), encoding="utf-8-sig")
         assert path.read_bytes().startswith(b"\xef\xbb\xbftau,")
         assert read_curve_csv(path) == curve
+
+    def test_rows_reader_rejects_an_empty_file(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("")
+        with pytest.raises(CsvFormatError, match="^file is empty$"):
+            csvio.read_rows(path)
+
+    def test_rows_reader_rejects_an_unexpected_header(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("score,label\n0.5,1\n")
+        with pytest.raises(CsvFormatError, match="^unexpected header"):
+            csvio.read_rows(path)
+
+    def test_rows_reader_rejects_counts_that_are_not_integers(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        with open(path, "w") as fh:
+            csvio.write_rows(fh, [("C1", csvio.row(ConfusionMatrix(1, 2, 3, 4)))], key_column="case")
+        path.write_text(path.read_text().replace("C1,1,2,", "C1,1.5,2,"))
+        with pytest.raises(CsvFormatError, match=r"^line 2: bad counts \['1.5', '2', '3', '4'\]$"):
+            csvio.read_rows(path)
+
+    def test_rows_reader_skips_a_blank_line(self, demo_samples, tmp_path):
+        curve = threshold_sweep(demo_samples)
+        buffer = io.StringIO()
+        write_curve_csv(curve, buffer)
+        lines = buffer.getvalue().splitlines(keepends=True)
+        path = tmp_path / "curve.csv"
+        path.write_text("".join(lines[:50]) + "\n" + "".join(lines[50:]))
+        assert read_curve_csv(path) == curve
+        key_column, rows = csvio.read_rows(path)
+        assert key_column == "tau" and len(rows) == len(curve.keys)
 
     def test_oversized_field_rejected(self, tmp_path):
         buffer = io.StringIO()
