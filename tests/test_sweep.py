@@ -454,17 +454,24 @@ class TestCurveCsv:
         path.write_text(buffer.getvalue())
         assert read_curve_csv(path) == series
 
-    @pytest.mark.parametrize("keys, key_column, message", [
-        (["C1"], "case", "^line 2: bad value 'C1' for case$"),
-        ([""], None, r"^expected a key column out of \('tau', 'pos_fraction', 'tpr'\), got None$"),
-        (["0.25", "0.5"], "case", r"^expected a key column out of \('tau', 'pos_fraction', 'tpr'\), got 'case'$"),
-    ], ids=["named-cases", "no-key-column", "numeric-cases"])
-    def test_case_keyed_csv_rejected(self, tmp_path, keys, key_column, message):
+    def test_case_keyed_csv_rejected(self, tmp_path):
+        path = tmp_path / "cases.csv"
+        with open(path, "w") as fh:
+            csvio.write_rows(fh, [("C1", csvio.row(ConfusionMatrix(1, 2, 3, 4)))], key_column="case")
+        with pytest.raises(CsvFormatError, match="^line 2: bad value 'C1' for case$"):
+            read_curve_csv(path)
+
+    @pytest.mark.parametrize("keys, key_column", [
+        ([""], None),
+        (["0.25", "0.5"], "case"),
+    ], ids=["no-key-column", "numeric-cases"])
+    def test_a_csv_without_a_series_key_column_is_rejected(self, tmp_path, keys, key_column):
         # the `cases` and `eval --format csv` layouts are not series
         values = csvio.row(ConfusionMatrix(1, 2, 3, 4))
         path = tmp_path / "cases.csv"
         with open(path, "w") as fh:
             csvio.write_rows(fh, [(key, values) for key in keys], key_column=key_column)
+        message = rf"^expected a key column out of \('tau', 'pos_fraction', 'tpr'\), got {key_column!r}$"
         with pytest.raises(CsvFormatError, match=message):
             read_curve_csv(path)
 
