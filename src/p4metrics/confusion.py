@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
@@ -126,24 +126,39 @@ class ScoredSamples:
     def __len__(self) -> int:
         return self.positive_cumulative[-1] + self.negative_cumulative[-1]
 
-    def matrix_at(self, tau: float) -> ConfusionMatrix:
-        """The matrix of calling a sample positive iff score > tau, in O(log D)
-        for D distinct scores: `bisect_right` finds the step of the scores
-        <= tau, and its cumulative count is the samples called negative."""
-        fn = self.positive_cumulative[bisect_right(self.positive_scores, tau)]
-        tn = self.negative_cumulative[bisect_right(self.negative_scores, tau)]
-        return ConfusionMatrix(self.positive_cumulative[-1] - fn, self.negative_cumulative[-1] - tn, fn, tn)
+    def matrices_at(self, taus: Iterable[float]) -> tuple[ConfusionMatrix, ...]:
+        """One matrix per tau of the ascending `taus`, calling a sample positive
+        iff score > tau; taus out of order raise ValueError.  A matrix changes
+        only at a score, so the walk counts once per run of equal matrices, by
+        three bisects: one per class for the counts at the run's first tau, and
+        one for the run's end.  R <= min(D + 1, G) runs for D distinct scores
+        and G taus cost O(R log DG), plus O(G) list work."""
+        taus = list(taus)
+        if not all(map(operator.le, taus, taus[1:])):  # a NaN among taus fails too
+            raise ValueError("taus must ascend")
+        pos, neg = self.positive_scores, self.negative_scores
+        matrices, i = [], 0
+        while i < len(taus):
+            p, q = bisect_right(pos, taus[i]), bisect_right(neg, taus[i])
+            fn, tn = self.positive_cumulative[p], self.negative_cumulative[q]
+            matrix = ConfusionMatrix(self.positive_cumulative[-1] - fn, self.negative_cumulative[-1] - tn, fn, tn)
+            # the run ends before the first tau at or above the lowest score above its own tau
+            lowest = min(pos[p] if p < len(pos) else math.inf, neg[q] if q < len(neg) else math.inf)
+            end = bisect_left(taus, lowest, i + 1)
+            matrices += [matrix] * (end - i)
+            i = end
+        return tuple(matrices)
 
 
 def classify_at_threshold(samples: ScoredSamples, tau: float) -> ConfusionMatrix:
-    """`samples.matrix_at(tau)` for a tau checked to lie in [0, 1], in O(log n).
+    """The matrix of `samples` at one tau checked to lie in [0, 1], in O(log n).
 
     The comparison is strict, so tau=0 marks every sample with a nonzero
     score positive and tau=1 classifies everything negative.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau!r}")
-    return samples.matrix_at(tau)
+    return samples.matrices_at((tau,))[0]
 
 
 # lines a scored CSV is read and counted by at a time
@@ -255,6 +270,8 @@ def _check_row(row: Sequence[str]) -> tuple[float, bool] | None:
     if len(row) != 2:
         raise ValueError(f"expected 2 fields, got {len(row)}")
     score_text, label_text = row
+    if "_" in score_text or not score_text.isascii():  # float() reads '0.5_5' and '٠.٧' too
+        raise ValueError(f"bad score {score_text!r}")
     try:
         score = float(score_text)
     except ValueError:

@@ -57,14 +57,19 @@ def read_rows(path: str | Path) -> tuple[str | None, list[tuple[str, ConfusionMa
     most one extra leading column is allowed and becomes the row key (kept as
     its string form).  A leading UTF-8 byte order mark is skipped.
     """
-    return _read_rows(path, str)
+    return _read_rows(path, _utf8)
+
+
+def _utf8(text: str) -> str:
+    """`text`; a byte that is not UTF-8, read as a lone surrogate, raises UnicodeEncodeError."""
+    return text.encode().decode()
 
 
 def _read_rows(path: str | Path, parse_key: Callable[[str], object]) -> tuple[str | None, list[tuple]]:
     """(key_column, rows) of (key, matrix, `row` values), with each key cell
     passed through `parse_key` and each metric cell checked against `row`."""
     expected = list(COLUMNS)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         end = 0  # the last physical line of the record before; a record may span lines
         try:
@@ -74,7 +79,7 @@ def _read_rows(path: str | Path, parse_key: Callable[[str], object]) -> tuple[st
                 raise CsvFormatError("file is empty") from None
             if header[-len(expected):] != expected or len(header) > len(expected) + 1:
                 raise CsvFormatError(f"unexpected header {header!r}")
-            key_column = header[0] if len(header) == len(expected) + 1 else None
+            key_column = _parse_cell("key column", header[0], 1, _utf8) if len(header) == len(expected) + 1 else None
 
             rows = []
             end = reader.line_num

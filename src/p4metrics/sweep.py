@@ -11,7 +11,6 @@ closest to the ideal corner (1, 1) in that plane.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import groupby
@@ -101,34 +100,10 @@ def make_grid(tau0: float, tau_n: float, delta: float) -> tuple[float, ...]:
     return (*keys, tau_n)
 
 
-def threshold_sweep(
-    samples: ScoredSamples,
-    tau0: float = 0.0,
-    tau_n: float = 1.0,
-    delta: float = 0.01,
-) -> MetricSeries:
-    """Classify `samples` at every grid threshold.
-
-    With `score > tau` the matrix changes only at the first tau at or above a
-    score.  The sweep walks from run to run of equal matrices, three bisects
-    each, and counts once per run, whose taus all get that one matrix, which
-    the series then evaluates once: R <= min(D + 1, G) runs for D distinct
-    scores and G taus cost O(R log DG), plus O(G) list work.  Each run starts
-    at or above a score that lay above the run before's tau, so its matrix
-    differs from that run's.
-    """
+def threshold_sweep(samples: ScoredSamples, tau0: float = 0.0, tau_n: float = 1.0, delta: float = 0.01) -> MetricSeries:
+    """Classify `samples` at every grid threshold, by `samples.matrices_at`."""
     taus = make_grid(tau0, tau_n, delta)
-    pos, neg = samples.positive_scores, samples.negative_scores
-    matrices, i = [], 0
-    while i < len(taus):
-        matrix = samples.matrix_at(taus[i])
-        # the run ends before the first tau at or above the lowest score above its own tau
-        p, q = bisect_right(pos, taus[i]), bisect_right(neg, taus[i])
-        lowest = min(pos[p] if p < len(pos) else math.inf, neg[q] if q < len(neg) else math.inf)
-        end = bisect_left(taus, lowest, i + 1)
-        matrices += [matrix] * (end - i)
-        i = end
-    return MetricSeries("tau", taus, tuple(matrices))
+    return MetricSeries("tau", taus, samples.matrices_at(taus))
 
 
 @dataclass(frozen=True)

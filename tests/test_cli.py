@@ -407,14 +407,24 @@ def test_svg_is_utf8_whatever_the_locale(tmp_path):
     assert name[:-4] in (tmp_path / "c.svg").read_bytes()
 
 
+def python_m(*argv):
+    """`python -m p4metrics *argv` in a child process, with this checkout's src on PYTHONPATH."""
+    src = str(FIXTURES.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    return subprocess.run([sys.executable, "-m", "p4metrics", *argv], capture_output=True, env=env)
+
+
 def test_python_m_runs_the_cli(capsys):
     assert main(["cases", "--format", "csv"]) == 0
     expected = capsys.readouterr().out.encode()
-    src = str(FIXTURES.parent / "src")
-    done = subprocess.run(
-        [sys.executable, "-m", "p4metrics", "cases", "--format", "csv"],
-        capture_output=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert done.stdout == expected
+    done = python_m("cases", "--format", "csv")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected == (FIXTURES / "golden" / "cases.csv").read_bytes()
+
+
+def test_python_m_exits_2_on_one_line():
+    done = python_m("eval", "--counts", "0,0,0,0")
+    assert done.returncode == 2
+    assert done.stdout == b""
+    assert done.stderr == b"p4metrics: error: all four counts are zero\n"

@@ -113,6 +113,13 @@ class TestScoredSamples:
         assert samples.negative_cumulative == (0, 1, 2, 3)
         assert len(samples) == 7
 
+    @pytest.mark.parametrize("taus", [(0.5, 0.25), (0.75, math.nan, 0.25)], ids=["descending", "nan"])
+    def test_matrices_at_needs_ascending_taus(self, demo_samples, taus):
+        with pytest.raises(ValueError, match="^taus must ascend$"):
+            demo_samples.matrices_at(taus)
+        half = classify_at_threshold(demo_samples, 0.5)
+        assert demo_samples.matrices_at(iter((0.5, 0.5))) == (half, half)
+
 
 class TestClassifyAtThreshold:
     def test_separable_pair(self):
@@ -273,8 +280,12 @@ class TestScoredCsv:
         assert len(samples) == len(pairs)
         scores = sorted({score for score, _ in pairs})
         midpoints = [(a + b) / 2 for a, b in zip(scores, scores[1:])]
-        for tau in [0.0, 1.0, *scores, *midpoints]:
-            assert samples.matrix_at(tau) == ConfusionMatrix(*oracles.classify_counts(pairs, tau))
+        # one walk over every breakpoint: each score, each midpoint, 0 and 1
+        taus = sorted({0.0, 1.0, *scores, *midpoints})
+        matrices = samples.matrices_at(taus)
+        assert len(matrices) == len(taus)
+        for tau, matrix in zip(taus, matrices):
+            assert matrix == ConfusionMatrix(*oracles.classify_counts(pairs, tau))
 
     def test_header_required(self):
         with pytest.raises(SampleParseError, match="header"):
@@ -324,6 +335,14 @@ class TestScoredCsv:
             read_scored_csv(path)
         assert info.value.line == line
         assert str(info.value).startswith(message)
+
+    # float() reads both, as 0.55 and 0.7, but neither is a decimal as written
+    @pytest.mark.parametrize("score", ["0.5_5", "\u0660.\u0667"], ids=["underscore", "arabic-indic"])
+    @pytest.mark.parametrize("quoted", [False, True], ids=["counted", "quoted"])
+    def test_a_score_only_python_reads_is_rejected(self, score, quoted):
+        row = f'"{score}",0' if quoted else f"{score},0"
+        with pytest.raises(SampleParseError, match=f"^line 3: bad score '{score}'$"):
+            parse_scored_csv(io.StringIO(f"score,label\n0.5,1\n{row}\n", newline=""))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -15,6 +15,7 @@ from p4metrics import (
     MetricSeries,
     NoDefinedPointsError,
     ScoredSamples,
+    classify_at_threshold,
     evaluate_all,
     optimal_threshold,
     read_curve_csv,
@@ -22,10 +23,10 @@ from p4metrics import (
     tpr_sweep,
     write_curve_csv,
 )
-from p4metrics import csvio, sweep
+from p4metrics import confusion, csvio, sweep
 from p4metrics.metrics import METRIC_NAMES
 from p4metrics.sweep import make_grid
-from conftest import DEMO_BEST, DEMO_COUNTS_AT_HALF, samples_from, unit_floats
+from conftest import DEMO_BEST, DEMO_COUNTS_AT_HALF, FIXTURES, samples_from, unit_floats
 import oracles
 
 SEPARABLE = samples_from([(0.9, True), (0.2, False)])
@@ -223,19 +224,19 @@ class TestThresholdSweep:
     @pytest.mark.parametrize("tau0, tau_n", [(0.0, 1.0), (0.25, 0.75)])
     def test_counts_once_per_run_of_taus(self, demo_samples, monkeypatch, tau0, tau_n):
         calls = 0
-        matrix_at = ScoredSamples.matrix_at
 
-        def counted(samples, tau):
+        def counted(*counts):
             nonlocal calls
             calls += 1
-            return matrix_at(samples, tau)
+            return ConfusionMatrix(*counts)
 
-        monkeypatch.setattr(ScoredSamples, "matrix_at", counted)
+        monkeypatch.setattr(confusion, "ConfusionMatrix", counted)
         curve = threshold_sweep(demo_samples, tau0, tau_n, delta=0.0001)
+        monkeypatch.undo()
         assert len(curve.keys) == round((tau_n - tau0) / 0.0001) + 1
         assert calls <= len({*demo_samples.positive_scores, *demo_samples.negative_scores}) + 1
         for tau, matrix in zip(curve.keys, curve.matrices):
-            assert matrix == matrix_at(demo_samples, tau)
+            assert matrix == classify_at_threshold(demo_samples, tau)
 
     def test_halving_delta_keeps_coarse_points(self, demo_samples):
         coarse = threshold_sweep(demo_samples, delta=0.02)
@@ -595,6 +596,48 @@ class TestCurveCsv:
         assert read_curve_csv(path) == curve
         key_column, rows = csvio.read_rows(path)
         assert key_column == "tau" and len(rows) == len(curve.keys)
+
+    @pytest.mark.parametrize("read", [read_curve_csv, csvio.read_rows], ids=["curve", "rows"])
+    @pytest.mark.parametrize("column", ["tau", "prec"])
+    def test_a_byte_that_is_not_utf8_in_a_cell_is_line_numbered(self, demo_samples, tmp_path, read, column):
+        buffer = io.StringIO()
+        write_curve_csv(threshold_sweep(demo_samples, delta=0.001), buffer)
+        lines = buffer.getvalue().encode().splitlines(keepends=True)
+        columns = lines[0].decode().rstrip("\n").split(",")
+        cells = lines[94].split(b",")
+        text = cells[columns.index(column)].decode()
+        cells[columns.index(column)] = b"\xff" + cells[columns.index(column)]
+        lines[94] = b",".join(cells)
+        path = tmp_path / "curve.csv"
+        path.write_bytes(b"".join(lines))
+        assert len(b"".join(lines[:94])) > 8192  # past the decoder's first buffer
+        with pytest.raises(CsvFormatError, match=rf"^line 95: bad value '\\udcff{re.escape(text)}' for {column}$"):
+            read(path)
+
+    # the record starts on line 3 either way: in the second, the quoted key spans lines 3-4
+    @pytest.mark.parametrize(
+        "key, shown", [(b"C\xff2", r"C\\udcff2"), (b'"C\n\xff2"', r"C\\n\\udcff2")], ids=["one-line", "two-line"]
+    )
+    def test_a_byte_that_is_not_utf8_in_a_key_is_line_numbered(self, tmp_path, key, shown):
+        golden = (FIXTURES / "golden" / "cases.csv").read_bytes()
+        path = tmp_path / "cases.csv"
+        path.write_bytes(golden.replace(b"\nC2,", b"\n" + key + b",", 1))
+        with pytest.raises(CsvFormatError, match=f"^line 3: bad value '{shown}' for case$"):
+            csvio.read_rows(path)
+
+    @pytest.mark.parametrize("read", [read_curve_csv, csvio.read_rows], ids=["curve", "rows"])
+    @pytest.mark.parametrize(
+        "header, message",
+        [(b"t\xffau,", r"^line 1: bad value 't\\udcffau' for key column$"), (b"tau,t\xffp,", "^unexpected header")],
+        ids=["key-column", "count-column"],
+    )
+    def test_a_byte_that_is_not_utf8_in_the_header_is_rejected(self, tmp_path, read, header, message):
+        buffer = io.StringIO()
+        write_curve_csv(threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5), buffer)
+        path = tmp_path / "curve.csv"
+        path.write_bytes(buffer.getvalue().encode().replace(header.replace(b"\xff", b""), header, 1))
+        with pytest.raises(CsvFormatError, match=message):
+            read(path)
 
     def test_oversized_field_rejected(self, tmp_path):
         buffer = io.StringIO()
