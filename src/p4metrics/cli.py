@@ -7,15 +7,13 @@ json print full-precision numbers with `nan`.  All errors exit with status 2.
 from __future__ import annotations
 
 import argparse
-import io
-import json
 import math
 import sys
 from pathlib import Path
 from typing import Callable, TextIO
 
-from . import csvio, simulate, svg, sweep
-from .confusion import ConfusionMatrix, classify_at_threshold, read_scored_csv
+from . import csvio, simulate, sweep
+from .confusion import ConfusionMatrix, _parse_number, classify_at_threshold, read_scored_csv
 from .errors import P4MetricsError
 from .metrics import DISPLAY_NAMES, METRIC_NAMES
 
@@ -41,57 +39,50 @@ def _json_record(row: tuple) -> dict:
     }
 
 
-def _captured(write: Callable[[TextIO], None]) -> str:
-    """The text `write` writes to the stream it is given."""
-    buffer = io.StringIO()
-    write(buffer)
-    return buffer.getvalue()
-
-
-def _emit(text: str, out: str | None) -> None:
-    """Write `text`, ending in one newline, to the `out` file or else to stdout."""
-    if not text.endswith("\n"):
-        text += "\n"
+def _emit(write: Callable[[TextIO], None], out: str | None) -> None:
+    """Call `write` on stdout, or else on the `out` file as it is written; a
+    failed write removes `out`, but a failure to open it removes nothing."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
-def _parse_counts(text: str) -> ConfusionMatrix:
-    fields = text.split(",")
-    if len(fields) != 4:
-        raise ValueError(f"--counts needs 4 comma-separated integers, got {text!r}")
-    tp, fp, fn, tn = (int(field) for field in fields)
-    return ConfusionMatrix(tp, fp, fn, tn)
+        return write(sys.stdout)
+    stream = open(out, "w")
+    try:
+        with stream:
+            write(stream)
+    except BaseException:
+        Path(out).unlink(missing_ok=True)
+        raise
 
 
 def cmd_eval(args) -> None:
     if args.counts is not None:
-        matrix = _parse_counts(args.counts)
+        fields = args.counts.split(",")
+        if len(fields) != 4:
+            raise ValueError(f"--counts needs 4 comma-separated integers, got {args.counts!r}")
+        matrix = ConfusionMatrix(*(_parse_number(field, int) for field in fields))
     else:
         samples = read_scored_csv(args.file)
         matrix = classify_at_threshold(samples, args.tau)
     row = csvio.row(matrix)
     if args.format == "table":
-        lines = [_counts_line(row), ""] + _table_rows(row)
-        _emit("\n".join(lines), args.out)
+        _emit(lambda stream: print(_counts_line(row), "", *_table_rows(row), sep="\n", file=stream), args.out)
     elif args.format == "csv":
-        _emit(_captured(lambda buffer: csvio.write_rows(buffer, [("", row)], None)), args.out)
+        _emit(lambda stream: csvio.write_rows(stream, [("", row)], None), args.out)
     else:
-        _emit(json.dumps(_json_record(row), indent=2), args.out)
+        import json  # only --format json needs it, so the CLI starts without it
+        _emit(lambda stream: print(json.dumps(_json_record(row), indent=2), file=stream), args.out)
 
 
 def cmd_cases(args) -> None:
     rows = [(name, csvio.row(matrix)) for name, matrix in simulate.edge_cases()]
     if args.format == "table":
         blocks = ["\n".join([f"{name}  {_counts_line(row)}"] + _table_rows(row, "  ")) for name, row in rows]
-        _emit("\n\n".join(blocks), args.out)
+        _emit(lambda stream: print(*blocks, sep="\n\n", file=stream), args.out)
     elif args.format == "csv":
-        _emit(_captured(lambda buffer: csvio.write_rows(buffer, rows, "case")), args.out)
+        _emit(lambda stream: csvio.write_rows(stream, rows, "case"), args.out)
     else:
+        import json  # only --format json needs it, so the CLI starts without it
         records = [{"case": name, **_json_record(row)} for name, row in rows]
-        _emit(json.dumps(records, indent=2), args.out)
+        _emit(lambda stream: print(json.dumps(records, indent=2), file=stream), args.out)
 
 
 def _chart_points(series: sweep.MetricSeries, x: str | None, y: str) -> tuple[tuple[float, float], ...]:
@@ -107,15 +98,14 @@ def _chart_points(series: sweep.MetricSeries, x: str | None, y: str) -> tuple[tu
 
 def _emit_series(series: sweep.MetricSeries, args, lines, title: str, x_label: str, y_label: str) -> None:
     """Emit the series CSV; with --svg, chart each (name, x, y) of `lines` beside --out
-    (see `_chart_points`).  A failed chart takes --out with it."""
-    _emit(_captured(lambda buffer: sweep.write_curve_csv(series, buffer)), args.out)
-    if args.svg:
-        try:
+    (see `_chart_points`) before --out is closed, so a failed chart takes it along."""
+    def write(stream: TextIO) -> None:
+        sweep.write_curve_csv(series, stream)
+        if args.svg:
+            from . import svg  # only --svg needs it, so the CLI starts without it
             curves = [(name, _chart_points(series, x, y)) for name, x, y in lines]
             svg.write_svg(Path(args.out).with_suffix(".svg"), title, x_label, y_label, curves)
-        except BaseException:
-            Path(args.out).unlink(missing_ok=True)
-            raise
+    _emit(write, args.out)
 
 
 def cmd_simulate(args) -> None:

@@ -12,7 +12,6 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -20,22 +19,57 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .errors import EmptyInputError, EmptyMatrixError, NegativeCountError, SampleParseError
 
 
-@dataclass(frozen=True, slots=True)
-class ConfusionMatrix:
+class _Record:
+    """A frozen value whose fields, `_fields` in order, are slots.  It equals, and
+    hashes as, a value of its own type with equal fields, reprs as
+    `Name(field=value, ...)`, and copies and pickles."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*cls._fields)  # the fields' values, as a tuple
+        cls.__match_args__ = cls._fields
+
+    def __init__(self, *args, **kwargs):  # the fields, by position or keyword
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(self._fields)}")
+        self._set(*map(values.get, self._fields))
+
+    def _set(self, *values) -> None:  # each slot's value, in order
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state) -> None:  # (None, slots) from object.__getstate__
+        self._set(*map(state[1].get, self.__slots__))
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ConfusionMatrix(_Record):
     """2x2 contingency table of a binary classifier against a population.
 
     tp/fp/fn/tn are validated at construction: integral, non-negative, and
     not all zero (an empty population is unconstructible).
     """
 
-    tp: int
-    fp: int
-    fn: int
-    tn: int
+    __slots__ = _fields = ("tp", "fp", "fn", "tn")
 
-    def __post_init__(self):
-        for name in ("tp", "fp", "fn", "tn"):
-            value = getattr(self, name)
+    def __init__(self, tp: int, fp: int, fn: int, tn: int):
+        for name, value in zip(self._fields, (tp, fp, fn, tn)):
             try:
                 value = operator.index(value)
             except TypeError:
@@ -43,7 +77,7 @@ class ConfusionMatrix:
             if value < 0:
                 raise NegativeCountError(f"{name} must be non-negative, got {value}")
             object.__setattr__(self, name, value)
-        if self.tp + self.fp + self.fn + self.tn == 0:
+        if not any(self._key(self)):
             raise EmptyMatrixError("all four counts are zero")
 
     @property
@@ -76,8 +110,7 @@ def swap_labels(c: ConfusionMatrix) -> ConfusionMatrix:
     return ConfusionMatrix(tp=c.tn, fp=c.fn, fn=c.fp, tn=c.tp)
 
 
-@dataclass(frozen=True, init=False)
-class ScoredSamples:
+class ScoredSamples(_Record):
     """Classifier scores in [0, 1] of the actual positives and negatives, kept
     per class as a staircase: the distinct scores in ascending order, and the
     cumulative number of samples scoring at or below each one, after a leading
@@ -89,10 +122,7 @@ class ScoredSamples:
     ValueError, and no samples at all EmptyInputError.
     """
 
-    positive_scores: tuple[float, ...]
-    positive_cumulative: tuple[int, ...]
-    negative_scores: tuple[float, ...]
-    negative_cumulative: tuple[int, ...]
+    __slots__ = _fields = ("positive_scores", "positive_cumulative", "negative_scores", "negative_cumulative")
 
     def __init__(self, positives: Iterable[float], negatives: Iterable[float]):
         self._build(Counter(positives), Counter(negatives))
@@ -270,12 +300,19 @@ def _check_row(row: Sequence[str]) -> tuple[float, bool] | None:
     if len(row) != 2:
         raise ValueError(f"expected 2 fields, got {len(row)}")
     score_text, label_text = row
-    if "_" in score_text or not score_text.isascii():  # float() reads '0.5_5' and '٠.٧' too
-        raise ValueError(f"bad score {score_text!r}")
     try:
-        score = float(score_text)
+        score = _parse_number(score_text)
     except ValueError:
         raise ValueError(f"bad score {score_text!r}") from None
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"score {score_text!r} outside [0, 1]")
     return score, parse_label(label_text)
+
+
+def _parse_number(text: str, parse: Callable[[str], float] = float):
+    """`parse(text)` of a number cell, `float` or `int`, which must be ASCII and
+    hold no `_`: both read '4_5' as 45 and '٨955' as 8955, yet no writer spells
+    a number so.  Any other bad text raises ValueError, as `parse` does."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"bad number {text!r}")
+    return parse(text)

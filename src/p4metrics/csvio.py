@@ -14,7 +14,7 @@ import math
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
-from .confusion import ConfusionMatrix
+from .confusion import ConfusionMatrix, _parse_number
 from .errors import CsvFormatError, EmptyMatrixError, NegativeCountError
 from .metrics import METRIC_NAMES, _closed_forms
 
@@ -43,7 +43,7 @@ def write_rows(out: TextIO, rows: Iterable[tuple[str, tuple]], key_column: str |
         writer.writerow(line if key_column is None else [key, *line])
 
 
-def _parse_cell(name: str, text: str, line_no: int, parse: Callable[[str], object] = float):
+def _parse_cell(name: str, text: str, line_no: int, parse: Callable[[str], object] = _parse_number):
     try:
         return parse(text)
     except ValueError:
@@ -91,7 +91,7 @@ def _read_rows(path: str | Path, parse_key: Callable[[str], object]) -> tuple[st
                     raise CsvFormatError(f"line {line_no}: expected {len(header)} fields, got {len(record)}")
                 key = _parse_cell(key_column, record.pop(0), line_no, parse_key) if key_column is not None else ""
                 try:
-                    matrix = ConfusionMatrix(*map(int, record[:4]))
+                    matrix = ConfusionMatrix(*(_parse_number(text, int) for text in record[:4]))
                     # a run of equal neighbouring matrices is evaluated once
                     values = rows[-1][2] if rows and rows[-1][1] == matrix else row(matrix)
                 except ValueError:

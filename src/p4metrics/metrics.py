@@ -15,10 +15,9 @@ each metric cell is the value `_closed_forms` gives for the row's counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .confusion import ConfusionMatrix
+from .confusion import ConfusionMatrix, _Record
 from .errors import RangeMismatchError
 
 UNIT_RANGE = (0.0, 1.0)
@@ -28,8 +27,7 @@ SIGNED_RANGE = (-1.0, 1.0)
 _RANGE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class MetricValue:
+class MetricValue(_Record):
     """A metric result: either a float in a declared range, or Undefined.
 
     `value` is None exactly when the metric's own formula hit a zero
@@ -37,14 +35,14 @@ class MetricValue:
     with 1e-12 of slack for floating evaluation.
     """
 
-    value: float | None
-    range: tuple[float, float] = UNIT_RANGE
+    __slots__ = _fields = ("value", "range")
 
-    def __post_init__(self):
-        if self.value is not None:
-            lo, hi = self.range
-            if not (lo - _RANGE_TOLERANCE <= self.value <= hi + _RANGE_TOLERANCE):
-                raise ValueError(f"value {self.value!r} outside declared range [{lo}, {hi}]")
+    def __init__(self, value: float | None, range: tuple[float, float] = UNIT_RANGE):
+        if value is not None:
+            lo, hi = range
+            if not (lo - _RANGE_TOLERANCE <= value <= hi + _RANGE_TOLERANCE):
+                raise ValueError(f"value {value!r} outside declared range [{lo}, {hi}]")
+        self._set(value, range)
 
     @property
     def is_defined(self) -> bool:
@@ -150,29 +148,19 @@ def scale_to_unit(v: MetricValue) -> MetricValue:
     return MetricValue(_scaled(v.value), UNIT_RANGE)
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(_Record):
     """Every metric for one confusion matrix, raw and unit-scaled."""
 
-    prec: MetricValue
-    rec: MetricValue
-    spec: MetricValue
-    npv: MetricValue
-    f1: MetricValue
-    p4: MetricValue
-    mcc: MetricValue
-    mcc_scaled: MetricValue
-    j: MetricValue
-    j_scaled: MetricValue
-    mk: MetricValue
-    mk_scaled: MetricValue
+    __slots__ = _fields = (
+        "prec", "rec", "spec", "npv", "f1", "p4", "mcc", "mcc_scaled", "j", "j_scaled", "mk", "mk_scaled",
+    )
 
     def as_dict(self) -> dict[str, MetricValue]:
         """Field-order mapping of metric name to value."""
-        return {field.name: getattr(self, field.name) for field in fields(self)}
+        return dict(zip(self._fields, self._key(self)))
 
 
-METRIC_NAMES = tuple(field.name for field in fields(MetricReport))
+METRIC_NAMES = MetricReport._fields
 # the one declaration of each metric's range, which MetricValue checks
 METRIC_RANGES = {name: SIGNED_RANGE if name in ("mcc", "j", "mk") else UNIT_RANGE for name in METRIC_NAMES}
 

@@ -10,32 +10,27 @@ reference matrices C1..C4 bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 
-from .confusion import ConfusionMatrix
+from .confusion import ConfusionMatrix, _Record
 from .errors import DegeneratePopulationError
 from .sweep import MetricSeries, make_grid
 
 
-@dataclass(frozen=True)
-class SimulationSpec:
+class SimulationSpec(_Record):
     """Parameters of one simulated classifier run."""
 
-    population: int
-    pos_fraction: float
-    tpr: float
-    tnr: float
+    __slots__ = _fields = ("population", "pos_fraction", "tpr", "tnr")
 
-    def __post_init__(self):
-        if self.population < 1:
-            raise ValueError(f"population must be >= 1, got {self.population}")
-        if not 0.0 < self.pos_fraction < 1.0:
-            raise ValueError(f"pos_fraction must be in (0, 1), got {self.pos_fraction!r}")
-        for name in ("tpr", "tnr"):
-            value = getattr(self, name)
+    def __init__(self, population: int, pos_fraction: float, tpr: float, tnr: float):
+        if population < 1:
+            raise ValueError(f"population must be >= 1, got {population}")
+        if not 0.0 < pos_fraction < 1.0:
+            raise ValueError(f"pos_fraction must be in (0, 1), got {pos_fraction!r}")
+        for name, value in (("tpr", tpr), ("tnr", tnr)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+        self._set(population, pos_fraction, tpr, tnr)
 
 
 def _round_half_up(rate: float, count: int) -> int:

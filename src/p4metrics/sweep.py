@@ -11,14 +11,13 @@ closest to the ideal corner (1, 1) in that plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import groupby
 from pathlib import Path
 from typing import Sequence, TextIO
 
 from . import csvio
-from .confusion import ConfusionMatrix, ScoredSamples
+from .confusion import ConfusionMatrix, ScoredSamples, _parse_number, _Record
 from .errors import BadGridError, CsvFormatError, NoDefinedPointsError
 
 PAIR_METRICS = ("f1", "p4")
@@ -46,8 +45,7 @@ def check_grid(key_column: str, keys: Sequence[float]) -> None:
             raise BadGridError(f"{key_column} values must be strictly increasing, got {a!r} before {b!r}")
 
 
-@dataclass(frozen=True)
-class MetricSeries:
+class MetricSeries(_Record):
     """Confusion matrices along one varied key, and their metrics.
 
     `key_column` names the key (`tau`, `pos_fraction` or `tpr`), `keys` holds
@@ -56,20 +54,18 @@ class MetricSeries:
     holds (first index, end index, `csvio.row` of the run's matrix) per run.
     """
 
-    key_column: str
-    keys: tuple[float, ...]
-    matrices: tuple[ConfusionMatrix, ...]
-    runs: tuple[tuple[int, int, tuple], ...] = field(init=False, repr=False, compare=False)
+    _fields = ("key_column", "keys", "matrices")
+    __slots__ = (*_fields, "runs")
 
-    def __post_init__(self):
-        if len(self.keys) != len(self.matrices):
+    def __init__(self, key_column: str, keys: tuple[float, ...], matrices: tuple[ConfusionMatrix, ...]):
+        if len(keys) != len(matrices):
             raise ValueError("keys and matrices must have equal length")
-        check_grid(self.key_column, self.keys)
+        check_grid(key_column, keys)
         runs, end = [], 0
-        for matrix, run in groupby(self.matrices):
+        for matrix, run in groupby(matrices):
             start, end = end, end + sum(1 for _ in run)
             runs.append((start, end, csvio.row(matrix)))
-        object.__setattr__(self, "runs", tuple(runs))
+        self._set(key_column, keys, matrices, tuple(runs))
 
 
 def make_grid(tau0: float, tau_n: float, delta: float) -> tuple[float, ...]:
@@ -106,11 +102,8 @@ def threshold_sweep(samples: ScoredSamples, tau0: float = 0.0, tau_n: float = 1.
     return MetricSeries("tau", taus, samples.matrices_at(taus))
 
 
-@dataclass(frozen=True)
-class OptimalThreshold:
-    tau: float
-    distance: float
-    metric_pair: str
+class OptimalThreshold(_Record):
+    __slots__ = _fields = ("tau", "distance", "metric_pair")
 
 
 def optimal_threshold(series: MetricSeries, y_metric: str) -> OptimalThreshold:
@@ -153,7 +146,7 @@ def write_curve_csv(series: MetricSeries, out: TextIO) -> None:
 def read_curve_csv(path: str | Path) -> MetricSeries:
     """Read a series CSV written by `write_curve_csv` back, losslessly; each
     metric cell must be the value its counts give."""
-    key_column, rows = csvio._read_rows(path, float)
+    key_column, rows = csvio._read_rows(path, _parse_number)
     if key_column not in KEY_COLUMNS:
         raise CsvFormatError(f"expected a key column out of {tuple(KEY_COLUMNS)}, got {key_column!r}")
     return MetricSeries(key_column, tuple(key for key, _, _ in rows), tuple(matrix for _, matrix, _ in rows))

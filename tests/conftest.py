@@ -47,6 +47,18 @@ NON_UTF8_CSVS = {
 }
 
 
+# spellings of a number that Python's int and float read but no writer produces,
+# each applied to a number's text, and whether the readers accept it: README,
+# "File formats", says a number is ASCII without `_`, and spaces round it are ignored
+NUMBER_SPELLINGS = {
+    "underscore": (lambda text: text[:-1] + "_" + text[-1], False),
+    "arabic-indic": (lambda text: chr(0x660 + int(text[0])) + text[1:], False),
+    "full-width": (lambda text: chr(0xFF10 + int(text[0])) + text[1:], False),
+    "plus": (lambda text: "+" + text, True),
+    "space": (lambda text: " " + text, True),
+}
+
+
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 

@@ -10,9 +10,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from p4metrics import csvio, read_curve_csv, svg, threshold_sweep
+from p4metrics import csvio, read_curve_csv, svg, sweep, threshold_sweep
 from p4metrics.cli import main
-from conftest import DEMO_CSV, FIXTURES, NON_UTF8_CSVS
+from conftest import DEMO_CSV, FIXTURES, NON_UTF8_CSVS, NUMBER_SPELLINGS
 
 
 BOTH_OPTIMA = (
@@ -365,6 +365,57 @@ def test_failed_chart_leaves_no_curve(capsys, tmp_path, command):
     assert not (tmp_path / "X.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", "--counts", "1,2,3,4"],
+    ["cases", "--format", "csv"],
+    ["sweep", "--file", str(DEMO_CSV), "--svg"],
+], ids=["eval", "cases", "sweep-svg"])
+def test_an_out_that_cannot_be_opened_exits_2_and_removes_nothing(capsys, tmp_path, command):
+    out = tmp_path / "X.csv"
+    out.mkdir()
+    (out / "kept.txt").write_text("kept\n")
+    rc, stdout, err = run_cli(capsys, *command, "--out", str(out))
+    assert rc == 2
+    assert stdout == ""
+    assert err.startswith("p4metrics: error: ") and err.count("\n") == 1
+    assert (out / "kept.txt").read_text() == "kept\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["X.csv"]
+
+
+@pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()], ids=["os-error", "interrupt"])
+def test_a_write_that_fails_midway_leaves_no_out(capsys, tmp_path, monkeypatch, error):
+    def failing(series, out):
+        out.write("tau," * 100_000)  # past the file's buffer, so some of it is on disk
+        assert (tmp_path / "X.csv").stat().st_size > 0
+        raise error
+
+    monkeypatch.setattr(sweep, "write_curve_csv", failing)
+    argv = ["sweep", "--file", str(DEMO_CSV), "--out", str(tmp_path / "X.csv")]
+    if isinstance(error, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out, err) == (2, "", "p4metrics: error: disk full\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spelling", NUMBER_SPELLINGS)
+def test_a_number_spelling_exits_2_or_is_read_as_documented(capsys, tmp_path, spelling):
+    spell, accepted = NUMBER_SPELLINGS[spelling]
+    scores = tmp_path / "scores.csv"
+    scores.write_text(f"score,label\n0.9,1\n{spell('0.45')},0\n", encoding="utf-8")
+    for argv, plain, message in [
+        (["--counts", f"{spell('45')},995,5,8955"], ["--counts", "45,995,5,8955"], f"bad number {spell('45')!r}"),
+        (["--file", str(scores)], ["--counts", "1,0,0,1"], f"line 3: bad score {spell('0.45')!r}"),
+    ]:
+        rc, out, err = run_cli(capsys, "eval", *argv)
+        if accepted:
+            assert (rc, out, err) == run_cli(capsys, "eval", *plain)
+        else:
+            assert (rc, out, err) == (2, "", f"p4metrics: error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "balance", "--tnr", "0.5"], "p4metrics: error: simulate balance needs --tpr"),
     (["simulate", "tpr", "--tnr", "0.5"], "p4metrics: error: simulate tpr needs --pos"),
@@ -421,6 +472,10 @@ def test_python_m_runs_the_cli(capsys):
     done = python_m("cases", "--format", "csv")
     assert done.returncode == 0, done.stderr
     assert done.stdout == expected == (FIXTURES / "golden" / "cases.csv").read_bytes()
+    # the CLI imports json only for --format json, so run that from a fresh process too
+    done = python_m("eval", "--file", str(DEMO_CSV), "--format", "json")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (FIXTURES / "golden" / "eval_demo.json").read_bytes()
 
 
 def test_python_m_exits_2_on_one_line():

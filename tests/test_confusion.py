@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import random
+import re
 from unittest.mock import patch
 
 import pytest
@@ -20,7 +21,7 @@ from p4metrics import (
     swap_labels,
 )
 from p4metrics import confusion
-from conftest import DEMO_COUNTS_AT_HALF, DEMO_CSV, NON_UTF8_CSVS, matrices, samples_from, scored_pairs, unit_floats
+from conftest import DEMO_COUNTS_AT_HALF, DEMO_CSV, NON_UTF8_CSVS, NUMBER_SPELLINGS, matrices, samples_from, scored_pairs, unit_floats
 import oracles
 
 
@@ -343,6 +344,17 @@ class TestScoredCsv:
         row = f'"{score}",0' if quoted else f"{score},0"
         with pytest.raises(SampleParseError, match=f"^line 3: bad score '{score}'$"):
             parse_scored_csv(io.StringIO(f"score,label\n0.5,1\n{row}\n", newline=""))
+
+    @pytest.mark.parametrize("spelling", NUMBER_SPELLINGS)
+    def test_a_score_spelling_is_rejected_or_read_as_documented(self, tmp_path, spelling):
+        spell, accepted = NUMBER_SPELLINGS[spelling]
+        path = tmp_path / "scores.csv"
+        path.write_text(f"score,label\n0.9,1\n{spell('0.45')},0\n", encoding="utf-8")
+        if accepted:
+            assert read_scored_csv(path) == ScoredSamples([0.9], [0.45])
+        else:
+            with pytest.raises(SampleParseError, match=f"^line 3: bad score {re.escape(repr(spell('0.45')))}$"):
+                read_scored_csv(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

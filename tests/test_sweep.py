@@ -26,7 +26,7 @@ from p4metrics import (
 from p4metrics import confusion, csvio, sweep
 from p4metrics.metrics import METRIC_NAMES
 from p4metrics.sweep import make_grid
-from conftest import DEMO_BEST, DEMO_COUNTS_AT_HALF, FIXTURES, samples_from, unit_floats
+from conftest import DEMO_BEST, DEMO_COUNTS_AT_HALF, FIXTURES, NUMBER_SPELLINGS, samples_from, unit_floats
 import oracles
 
 SEPARABLE = samples_from([(0.9, True), (0.2, False)])
@@ -638,6 +638,27 @@ class TestCurveCsv:
         path.write_bytes(buffer.getvalue().encode().replace(header.replace(b"\xff", b""), header, 1))
         with pytest.raises(CsvFormatError, match=message):
             read(path)
+
+    @pytest.mark.parametrize("spelling", NUMBER_SPELLINGS)
+    @pytest.mark.parametrize("read, golden, column", [
+        (csvio.read_rows, "cases.csv", "tp"),
+        (read_curve_csv, "sweep_demo.csv", "tau"),
+        (read_curve_csv, "sweep_demo.csv", "prec"),
+    ], ids=["count", "key", "metric"])
+    def test_a_number_spelling_is_rejected_or_read_as_documented(self, tmp_path, read, golden, column, spelling):
+        spell, accepted = NUMBER_SPELLINGS[spelling]
+        golden = FIXTURES / "golden" / golden
+        header, first, second, *rest = golden.read_text().splitlines(keepends=True)
+        cells = second.rstrip("\n").split(",")
+        index = header.rstrip("\n").split(",").index(column)
+        cells[index] = spelled = spell(cells[index])  # C2's tp 8955, or tau 0.01 and its prec
+        path = tmp_path / golden.name
+        path.write_text(header + first + ",".join(cells) + "\n" + "".join(rest), encoding="utf-8")
+        if accepted:
+            assert read(path) == read(golden)
+        else:
+            with pytest.raises(CsvFormatError, match=f"^line 3: bad (counts|value) .*{re.escape(repr(spelled))}"):
+                read(path)
 
     def test_oversized_field_rejected(self, tmp_path):
         buffer = io.StringIO()
