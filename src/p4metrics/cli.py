@@ -54,6 +54,8 @@ def _emit(write: Callable[[TextIO], None], out: str | None) -> None:
 
 
 def cmd_eval(args) -> None:
+    if not 0.0 <= args.tau <= 1.0:  # classify_at_threshold's check, made before the source is read
+        raise ValueError(f"tau must be in [0, 1], got {args.tau!r}")
     if args.counts is not None:
         fields = args.counts.split(",")
         if len(fields) != 4:

@@ -145,10 +145,7 @@ class ScoredSamples(_Record):
             if scores and min(tally.values()) < 1:
                 raise ValueError(f"{name}s score counts must be positive, got {min(tally.values())!r}")
             object.__setattr__(self, f"{name}_scores", tuple(scores))
-            if sum(tally.values()) == len(scores):
-                cumulative = range(len(scores) + 1)  # every count is 1
-            else:
-                cumulative = accumulate(map(tally.__getitem__, scores), initial=0)
+            cumulative = accumulate(map(tally.__getitem__, scores), initial=0)
             object.__setattr__(self, f"{name}_cumulative", tuple(cumulative))
         if len(self) == 0:
             raise EmptyInputError("no samples")
@@ -221,8 +218,8 @@ def read_scored_csv(path: str | Path) -> ScoredSamples:
     Lines are read in chunks and counted, and each distinct line is checked
     once, so parsing costs O(n) hashing plus O(D log D) for D distinct scores,
     and memory is O(D) plus one chunk.  From the first chunk holding a `"`
-    on, the rest of the file goes through one `csv.reader`, whose rows are
-    counted instead, since a quoted field may span lines.
+    on, since a quoted field may span lines, one `csv.reader` reads the rest
+    a record at a time, and each is checked as it is read: one check per row.
     """
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         return parse_scored_csv(fh)
@@ -245,58 +242,36 @@ def parse_scored_csv(lines: Iterable[str]) -> ScoredSamples:
     while chunk := list(islice(lines, _CHUNK_LINES)):
         counted = Counter(chunk)
         if '"' in "".join(counted):
-            _tally_quoted(chain(chunk, lines), first_line - 1, tallies)
+            _tally_quoted(chain(chunk, lines), first_line, tallies)
             break
         # without a quote, every line is one record: parse each distinct one once
-        _tally_rows(counted, csv.reader(counted), lambda line: first_line + chunk.index(line), tallies)
+        rows = csv.reader(counted)
+        for line, count in counted.items():
+            try:
+                _tally(tallies, next(rows), count)
+            except (ValueError, csv.Error) as exc:
+                raise SampleParseError(first_line + chunk.index(line), str(exc)) from None
         first_line += len(chunk)
     return ScoredSamples.from_tallies(tallies[True], tallies[False])
 
 
-def _tally_quoted(lines: Iterator[str], lines_before: int, tallies: _Tallies) -> None:
-    """Count the rows of one `csv.reader` over `lines` as tuples, a chunk at a
-    time; a bad row is numbered by the physical line after the row before it."""
+def _tally_quoted(lines: Iterator[str], first_line: int, tallies: _Tallies) -> None:
+    """Check and count, as it is read, each row of a `csv.reader` over `lines`, which begin on line `first_line`."""
     reader = csv.reader(lines)
-    start = 1
-    while True:
-        chunk, starts, error = [], [], None
-        try:
-            for row in islice(reader, _CHUNK_LINES):
-                chunk.append(tuple(row))
-                starts.append(start)
-                start = reader.line_num + 1
-        except csv.Error as exc:
-            error = exc  # after the rows before it, in file order
-        counted = Counter(chunk)
-        _tally_rows(counted, iter(counted), lambda row: lines_before + starts[chunk.index(row)], tallies)
-        if error is not None:
-            raise SampleParseError(lines_before + start, str(error))
-        if len(chunk) < _CHUNK_LINES:
-            return
+    start = first_line  # the physical line the next record starts on
+    try:
+        for row in reader:
+            _tally(tallies, row, 1)
+            start = first_line + reader.line_num
+    except (ValueError, csv.Error) as exc:
+        raise SampleParseError(start, str(exc)) from None
 
 
-def _tally_rows(
-    counted: Counter, rows: Iterator[Sequence[str]], line_of: Callable[[object], int], tallies: _Tallies
-) -> None:
-    """Check `rows`, the row of each distinct key of `counted` in first-occurrence
-    order, and add the key's count to its class's score tally.  The first bad
-    row, or csv.Error from `rows`, raises SampleParseError at `line_of(key)`."""
-    for key, count in counted.items():
-        try:
-            checked = _check_row(next(rows))
-        except (ValueError, csv.Error) as exc:
-            raise SampleParseError(line_of(key), str(exc)) from None
-        if checked is not None:
-            score, is_positive = checked
-            tally = tallies[is_positive]
-            tally[score] = tally.get(score, 0) + count
-
-
-def _check_row(row: Sequence[str]) -> tuple[float, bool] | None:
-    """(score, is_positive) of one data row, or None for a blank line; a bad
-    row raises ValueError."""
+def _tally(tallies: _Tallies, row: Sequence[str], count: int) -> None:
+    """Check one data row and add `count` samples of its score to its class's
+    tally; a blank line adds nothing, and a bad row raises ValueError."""
     if not row:
-        return None
+        return
     if len(row) != 2:
         raise ValueError(f"expected 2 fields, got {len(row)}")
     score_text, label_text = row
@@ -306,13 +281,17 @@ def _check_row(row: Sequence[str]) -> tuple[float, bool] | None:
         raise ValueError(f"bad score {score_text!r}") from None
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"score {score_text!r} outside [0, 1]")
-    return score, parse_label(label_text)
+    tally = tallies[parse_label(label_text)]
+    tally[score] = tally.get(score, 0) + count
 
 
 def _parse_number(text: str, parse: Callable[[str], float] = float):
     """`parse(text)` of a number cell, `float` or `int`, which must be ASCII and
     hold no `_`: both read '4_5' as 45 and '٨955' as 8955, yet no writer spells
-    a number so.  Any other bad text raises ValueError, as `parse` does."""
-    if "_" in text or not text.isascii():
-        raise ValueError(f"bad number {text!r}")
-    return parse(text)
+    a number so.  Any bad text raises ValueError("bad number '<text>'")."""
+    try:
+        if "_" not in text and text.isascii():
+            return parse(text)
+    except ValueError:
+        pass
+    raise ValueError(f"bad number {text!r}")

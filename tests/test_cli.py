@@ -71,6 +71,23 @@ class TestEval:
         rc, _, err = run_cli(capsys, "eval", "--counts", "1,2")
         assert rc == 2
         assert "4 comma-separated" in err
+        # a field that is no integer names itself, not Python's int() message
+        for field in ("1e3", "abc", "1.0", ""):
+            rc, out, err = run_cli(capsys, "eval", "--counts", f"1,{field},3,4")
+            assert (rc, out, err) == (2, "", f"p4metrics: error: bad number {field!r}\n")
+
+    @pytest.mark.parametrize("tau", ["nan", "-1", "2"])
+    @pytest.mark.parametrize("source", [
+        ["--counts", "1,2,3,4"], ["--file", str(DEMO_CSV)], ["--file", "no-such-file.csv"],
+    ], ids=["counts", "file", "missing-file"])
+    def test_a_tau_outside_0_1_exits_2_before_the_source_is_read(self, capsys, source, tau):
+        rc, out, err = run_cli(capsys, "eval", *source, "--tau", tau)
+        assert (rc, out, err) == (2, "", f"p4metrics: error: tau must be in [0, 1], got {float(tau)!r}\n")
+
+    def test_a_tau_in_0_1_is_accepted_with_counts(self, capsys):
+        assert run_cli(capsys, "eval", "--counts", "1,2,3,4", "--tau", "0.3") == run_cli(
+            capsys, "eval", "--counts", "1,2,3,4"
+        )
 
     def test_source_is_required_and_exclusive(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -458,12 +475,16 @@ def test_svg_is_utf8_whatever_the_locale(tmp_path):
     assert name[:-4] in (tmp_path / "c.svg").read_bytes()
 
 
-def python_m(*argv):
-    """`python -m p4metrics *argv` in a child process, with this checkout's src on PYTHONPATH."""
+def child_env():
+    """This process's environment, with this checkout's src first on PYTHONPATH."""
     src = str(FIXTURES.parent / "src")
     pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
-    return subprocess.run([sys.executable, "-m", "p4metrics", *argv], capture_output=True, env=env)
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+def python_m(*argv):
+    """`python -m p4metrics *argv` in a child process, with this checkout's src on PYTHONPATH."""
+    return subprocess.run([sys.executable, "-m", "p4metrics", *argv], capture_output=True, env=child_env())
 
 
 def test_python_m_runs_the_cli(capsys):
@@ -476,6 +497,31 @@ def test_python_m_runs_the_cli(capsys):
     done = python_m("eval", "--file", str(DEMO_CSV), "--format", "json")
     assert done.returncode == 0, done.stderr
     assert done.stdout == (FIXTURES / "golden" / "eval_demo.json").read_bytes()
+
+
+def peak_rss_mb(*argv):
+    """Peak RSS in MiB of `python -m p4metrics *argv`, from `os.wait4` in a small
+    child that starts it: Linux counts the resident size of the process a child
+    is forked from, up to its exec, in the child's `ru_maxrss`."""
+    script = (
+        "import os, subprocess, sys\n"
+        "_, status, usage = os.wait4(subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL).pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, sys.executable, "-m", "p4metrics", *argv],
+                          capture_output=True, text=True, env=child_env())
+    code, rss_mb = done.stdout.split()
+    assert code == "0", done.stderr
+    return float(rss_mb)
+
+
+def test_a_long_curve_is_streamed_not_held_in_memory(tmp_path):
+    small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+    base = peak_rss_mb("sweep", "--file", str(DEMO_CSV), "--delta", "0.01", "--out", str(small))
+    peak = peak_rss_mb("sweep", "--file", str(DEMO_CSV), "--delta", "0.00001", "--out", str(large))
+    curve_mb = large.stat().st_size / 2**20
+    assert curve_mb > 20  # 100,001 keys
+    assert peak - base < curve_mb / 2, (base, peak, curve_mb)
 
 
 def test_python_m_exits_2_on_one_line():
