@@ -8,6 +8,7 @@ and all operations are pure functions.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 from bisect import bisect_left, bisect_right
@@ -188,10 +189,8 @@ def classify_at_threshold(samples: ScoredSamples, tau: float) -> ConfusionMatrix
     return samples.matrices_at((tau,))[0]
 
 
-# lines a scored CSV is read and counted by at a time
+# lines a scored CSV is read by at a time, and the number of counted lines that flushes them
 _CHUNK_LINES = 65_536
-# each class's score -> count tally, keyed by is_positive
-_Tallies = dict[bool, dict[float, int]]
 
 _LABEL_ALIASES = {"1": True, "positive": True, "0": False, "negative": False}
 
@@ -200,8 +199,8 @@ def parse_label(text: str) -> bool:
     """Whether `1`/`0`/`positive`/`negative` (case-insensitive, surrounding
     whitespace ignored) names the positive class; anything else raises
     ValueError."""
-    is_positive = _LABEL_ALIASES.get(text.strip().lower())
-    if is_positive is None:
+    is_positive = _LABEL_ALIASES.get(text)  # most labels are written as an alias
+    if is_positive is None and (is_positive := _LABEL_ALIASES.get(text.strip().lower())) is None:
         raise ValueError(f"unknown label {text!r}")
     return is_positive
 
@@ -215,19 +214,26 @@ def read_scored_csv(path: str | Path) -> ScoredSamples:
     with a SampleParseError that names the physical line the first bad record
     starts on.  A file with a header but no data rows raises EmptyInputError.
 
-    Lines are read in chunks and counted, and each distinct line is checked
-    once, so parsing costs O(n) hashing plus O(D log D) for D distinct scores,
-    and memory is O(D) plus one chunk.  From the first chunk holding a `"`
-    on, since a quoted field may span lines, one `csv.reader` reads the rest
-    a record at a time, and each is checked as it is read: one check per row.
+    Lines are read as bytes (as text if the first block shows a lone CR) a
+    chunk at a time and counted; a line is decoded and checked when first
+    counted since the counts were last flushed, once `_CHUNK_LINES` were held.
+    Parsing costs O(n) hashing plus O(D log D) for D distinct scores, memory
+    O(D) plus a chunk.  From a `"` or a later lone CR on, each record is checked.
     """
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        return parse_scored_csv(fh)
+    with open(path, "rb") as fh:
+        if fh.peek().count(b"\r") == fh.peek().count(b"\r\n"):  # the first block shows no lone CR
+            return parse_scored_csv(fh)
+        with io.TextIOWrapper(fh, "utf-8-sig", "surrogateescape", newline="") as text:  # byte lines end only at LF
+            return parse_scored_csv(text)
 
 
 def parse_scored_csv(lines: Iterable[str]) -> ScoredSamples:
-    lines = iter(lines)
-    reader = csv.reader(lines)
+    lines = iter(lines)  # of text, or of bytes from `read_scored_csv`
+    head = next(lines, b"")  # an empty input reads as bytes that hold no text
+    binary = isinstance(head, bytes)
+    text_lines = _text_lines if binary else iter
+    head_lines = list(text_lines(iter([head.removeprefix(b"\xef\xbb\xbf") if binary else head])))  # less a UTF-8 BOM
+    reader = csv.reader(text := chain(head_lines, text_lines(lines)))
     try:
         header = next(reader)
     except StopIteration:
@@ -237,41 +243,55 @@ def parse_scored_csv(lines: Iterable[str]) -> ScoredSamples:
     if [column.strip().lower() for column in header] != ["score", "label"]:
         raise SampleParseError(1, f"expected header 'score,label', got {','.join(header)!r}")
 
-    tallies: _Tallies = {True: {}, False: {}}
-    first_line = reader.line_num + 1  # the physical number of the chunk's first line
-    while chunk := list(islice(lines, _CHUNK_LINES)):
-        counted = Counter(chunk)
-        if '"' in "".join(counted):
-            _tally_quoted(chain(chunk, lines), first_line, tallies)
+    tallies = {True: {}, False: {}, None: {}}  # score -> count per class, keyed by is_positive; None for blank lines
+    counts, samples = Counter(), []  # lines counted since the last flush, in first-sight order, and their samples
+    first_line = reader.line_num + 1  # the physical number of the next line
+    quoted = text if first_line > 2 or len(head_lines) > 1 else None  # a header on many lines, or a lone CR
+    while quoted is None and (chunk := list(islice(lines, _CHUNK_LINES))):
+        known = len(counts)
+        counts.update(chunk)
+        new = list(islice(reversed(counts), len(counts) - known))[::-1]
+        joined = b"".join(new).decode("utf-8", "surrogateescape") if binary else "".join(new)
+        if '"' in joined or binary and joined.count("\r") != joined.count("\r\n"):
+            counts.subtract(chunk)  # its first-seen lines, past the end of `samples`, add nothing
+            quoted = text_lines(chain(chunk, lines))
             break
-        # without a quote, every line is one record: parse each distinct one once
-        rows = csv.reader(counted)
-        for line, count in counted.items():
-            try:
-                _tally(tallies, next(rows), count)
-            except (ValueError, csv.Error) as exc:
-                raise SampleParseError(first_line + chunk.index(line), str(exc)) from None
+        try:  # every byte line but a file's last ends in LF; text lines may have no line ends
+            samples.extend(map(_sample, csv.reader(joined.split("\n")[: len(new)] if binary else new)))
+        except (ValueError, csv.Error) as exc:  # `samples` holds those before the bad line
+            raise SampleParseError(first_line + chunk.index(new[len(samples) - known]), str(exc)) from None
+        if len(counts) >= _CHUNK_LINES:
+            _add(tallies, counts.values(), samples)
+            counts, samples = Counter(), []
         first_line += len(chunk)
-    return ScoredSamples.from_tallies(tallies[True], tallies[False])
-
-
-def _tally_quoted(lines: Iterator[str], first_line: int, tallies: _Tallies) -> None:
-    """Check and count, as it is read, each row of a `csv.reader` over `lines`, which begin on line `first_line`."""
-    reader = csv.reader(lines)
-    start = first_line  # the physical line the next record starts on
+    _add(tallies, counts.values(), samples)
+    reader, start = csv.reader(quoted or ()), first_line  # and the physical line the next record starts on
     try:
         for row in reader:
-            _tally(tallies, row, 1)
+            is_positive, score = _sample(row)
+            tallies[is_positive][score] = tallies[is_positive].get(score, 0) + 1
             start = first_line + reader.line_num
     except (ValueError, csv.Error) as exc:
         raise SampleParseError(start, str(exc)) from None
+    return ScoredSamples.from_tallies(tallies[True], tallies[False])
 
 
-def _tally(tallies: _Tallies, row: Sequence[str], count: int) -> None:
-    """Check one data row and add `count` samples of its score to its class's
-    tally; a blank line adds nothing, and a bad row raises ValueError."""
+def _text_lines(lines: Iterator[bytes]) -> Iterator[str]:
+    """The text of byte `lines`, decoded a chunk at a time, split as `open(newline="")` splits it."""
+    while blob := b"".join(islice(lines, _CHUNK_LINES)):
+        yield from io.TextIOWrapper(io.BytesIO(blob), "utf-8", "surrogateescape", newline="")
+
+
+def _add(tallies: dict, counts: Iterable[int], samples: Iterable[tuple]) -> None:
+    """Add each count to the tally of its (is_positive, score) sample."""
+    for count, (is_positive, score) in zip(counts, samples):
+        tallies[is_positive][score] = tallies[is_positive].get(score, 0) + count
+
+
+def _sample(row: Sequence[str]) -> tuple[bool | None, float | None]:
+    """The (is_positive, score) of a checked data row, (None, None) if blank; a bad row raises ValueError."""
     if not row:
-        return
+        return None, None
     if len(row) != 2:
         raise ValueError(f"expected 2 fields, got {len(row)}")
     score_text, label_text = row
@@ -281,8 +301,7 @@ def _tally(tallies: _Tallies, row: Sequence[str], count: int) -> None:
         raise ValueError(f"bad score {score_text!r}") from None
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"score {score_text!r} outside [0, 1]")
-    tally = tallies[parse_label(label_text)]
-    tally[score] = tally.get(score, 0) + count
+    return parse_label(label_text), score
 
 
 def _parse_number(text: str, parse: Callable[[str], float] = float):

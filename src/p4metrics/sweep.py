@@ -14,7 +14,7 @@ import math
 from decimal import Decimal
 from itertools import groupby
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 from . import csvio
 from .confusion import ConfusionMatrix, ScoredSamples, _parse_number, _Record
@@ -58,13 +58,16 @@ class MetricSeries(_Record):
     __slots__ = (*_fields, "runs")
 
     def __init__(self, key_column: str, keys: tuple[float, ...], matrices: tuple[ConfusionMatrix, ...]):
+        self._build(key_column, keys, matrices, lambda start: csvio.row(matrices[start]))
+
+    def _build(self, key_column: str, keys: tuple, matrices: tuple, row_at: Callable[[int], tuple]) -> None:
         if len(keys) != len(matrices):
             raise ValueError("keys and matrices must have equal length")
         check_grid(key_column, keys)
         runs, end = [], 0
-        for matrix, run in groupby(matrices):
+        for _, run in groupby(matrices):
             start, end = end, end + sum(1 for _ in run)
-            runs.append((start, end, csvio.row(matrix)))
+            runs.append((start, end, row_at(start)))
         self._set(key_column, keys, matrices, tuple(runs))
 
 
@@ -149,4 +152,7 @@ def read_curve_csv(path: str | Path) -> MetricSeries:
     key_column, rows = csvio._read_rows(path, _parse_number)
     if key_column not in KEY_COLUMNS:
         raise CsvFormatError(f"expected a key column out of {tuple(KEY_COLUMNS)}, got {key_column!r}")
-    return MetricSeries(key_column, tuple(key for key, _, _ in rows), tuple(matrix for _, matrix, _ in rows))
+    keys, matrices = tuple(key for key, _, _ in rows), tuple(matrix for _, matrix, _ in rows)
+    series = MetricSeries.__new__(MetricSeries)
+    series._build(key_column, keys, matrices, lambda start: rows[start][2])  # rows the reader has computed
+    return series

@@ -118,6 +118,25 @@ class TestEval:
         assert rc == 0
         assert "tp=49  fp=32  fn=11  tn=108" in out
 
+    @pytest.mark.parametrize("bad_row", [None, 150], ids=["good", "bad-row"])
+    def test_every_line_end_and_a_byte_order_mark_read_alike(self, capsys, tmp_path, bad_row):
+        rows = DEMO_CSV.read_text().splitlines()
+        if bad_row is not None:
+            rows[bad_row - 1] = "0.5,maybe"
+        results = set()
+        for name, bom, end in [("lf", "", "\n"), ("crlf", "", "\r\n"), ("cr", "", "\r"), ("bom", "\ufeff", "\n")]:
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes((bom + end.join(rows) + end).encode())
+            results.add(run_cli(capsys, "eval", "--file", str(path), "--format", "json"))
+        assert len(results) == 1
+        rc, out, err = results.pop()
+        if bad_row is None:
+            assert (rc, err) == (0, "")
+            assert json.loads(out)["counts"] == {"tp": 49, "fp": 32, "fn": 11, "tn": 108}
+        else:
+            assert (rc, out) == (2, "")
+            assert err == "p4metrics: error: line 150: unknown label 'maybe'\n"
+
     def test_csv_and_json_agree(self, capsys):
         rc, csv_out, _ = run_cli(capsys, "eval", "--counts", "0,0,3,4", "--format", "csv")
         assert rc == 0

@@ -6,7 +6,7 @@ import re
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from p4metrics import (
     ConfusionMatrix,
@@ -207,11 +207,27 @@ def scored_csv_texts(draw):
     lines = rows(GOOD_ROWS, 16)
     if draw(st.booleans()):
         lines += rows(GOOD_ROWS + BAD_ROWS, 8)
-    text = draw(st.sampled_from(["score,label", '"score","label"'])) + "\n"
+    text = draw(st.sampled_from(["score,label", '"score","label"'])) + draw(st.sampled_from(LINE_ENDS))
     text += "".join(row + end for row, end in lines)
     if lines and draw(st.booleans()):
         text = text[: -len(lines[-1][1])]  # no line end after the last row
     return text
+
+
+def outcome(read, source):
+    """What `read(source)` gives: ("ok", samples), ("empty",), or ("error", line, message)."""
+    try:
+        return "ok", read(source)
+    except SampleParseError as exc:
+        return "error", exc.line, str(exc)
+    except EmptyInputError:
+        return ("empty",)
+
+
+@pytest.fixture(scope="module")
+def scored_path(tmp_path_factory):
+    """One file for each example of a hypothesis test to write and read."""
+    return tmp_path_factory.mktemp("scored") / "scores.csv"
 
 
 class TestScoredCsv:
@@ -258,26 +274,33 @@ class TestScoredCsv:
             parse_scored_csv(lines)
 
     @settings(max_examples=300)
-    @given(scored_csv_texts(), st.integers(min_value=1, max_value=3))
-    def test_counting_parse_agrees_with_row_by_row_oracle(self, text, chunk_lines):
+    @given(text=scored_csv_texts(), chunk_lines=st.integers(min_value=1, max_value=3), bom=st.booleans())
+    # a quote first seen in a chunk that repeats a line counted in the chunk before
+    @example(text='score,label\n0.5,1\n0.5,1\n0.5,1\n"0.5",1\n', chunk_lines=2, bom=False)
+    def test_counting_parse_agrees_with_row_by_row_oracle(self, scored_path, text, chunk_lines, bom):
+        # the same text as lines of text, as byte lines, and as a file, which is read as bytes
+        # unless it starts with a lone CR
+        data = b"\xef\xbb\xbf" * bom + text.encode()
+        scored_path.write_bytes(data)
         limit = csv.field_size_limit(24)
         try:
             expected = oracles.parse_scored_rows(io.StringIO(text, newline=""))
             with patch.object(confusion, "_CHUNK_LINES", chunk_lines):
-                if expected[0] == "error":
-                    _, line, message = expected
-                    with pytest.raises(SampleParseError) as info:
-                        parse_scored_csv(io.StringIO(text, newline=""))
-                    assert (info.value.line, str(info.value)) == (line, f"line {line}: {message}")
-                    return
-                pairs = expected[1]
-                if not pairs:
-                    with pytest.raises(EmptyInputError):
-                        parse_scored_csv(io.StringIO(text, newline=""))
-                    return
-                samples = parse_scored_csv(io.StringIO(text, newline=""))
+                parsed = outcome(parse_scored_csv, io.StringIO(text, newline=""))
+                read = outcome(read_scored_csv, scored_path)
+                byte_lines = outcome(parse_scored_csv, io.BytesIO(data))
         finally:
             csv.field_size_limit(limit)
+        assert read == byte_lines == parsed
+        if expected[0] == "error":
+            _, line, message = expected
+            assert parsed == ("error", line, f"line {line}: {message}")
+            return
+        pairs = expected[1]
+        if not pairs:
+            assert parsed == ("empty",)
+            return
+        samples = parsed[1]
         assert len(samples) == len(pairs)
         scores = sorted({score for score, _ in pairs})
         midpoints = [(a + b) / 2 for a, b in zip(scores, scores[1:])]
@@ -287,6 +310,21 @@ class TestScoredCsv:
         assert len(matrices) == len(taus)
         for tau, matrix in zip(taus, matrices):
             assert matrix == ConfusionMatrix(*oracles.classify_counts(pairs, tau))
+
+    @pytest.mark.parametrize("read", [read_scored_csv, lambda path: parse_scored_csv(path.read_bytes().decode().splitlines())],
+                             ids=["bytes", "text"])
+    # with chunks of 2 lines, the counts are flushed after every chunk, so each line is new again
+    @pytest.mark.parametrize("chunk_lines, checks", [(4, 3), (2, 12)], ids=["once-per-file", "once-per-flush"])
+    @pytest.mark.parametrize("end", LINE_ENDS, ids=["lf", "crlf", "cr"])
+    def test_each_distinct_line_is_checked_once_per_flush(self, tmp_path, read, chunk_lines, checks, end):
+        # 12 rows with 3 distinct lines, one score spelled 2 ways
+        path = tmp_path / "scores.csv"
+        path.write_bytes(end.join(["score,label", *["0.5,1", "0.25,0", "0.50,1"] * 4, ""]).encode())
+        with (patch.object(confusion, "_CHUNK_LINES", chunk_lines),
+              patch.object(confusion, "_sample", wraps=confusion._sample) as check):
+            samples = read(path)
+        assert check.call_count == checks
+        assert samples == ScoredSamples([0.5] * 8, [0.25] * 4)
 
     def test_header_required(self):
         with pytest.raises(SampleParseError, match="header"):

@@ -424,8 +424,8 @@ class TestCurveCsv:
 
         monkeypatch.setattr(csvio, "_closed_forms", counted)
         assert read_curve_csv(path) == curve
-        # once where the reader checks a run's cells, once where the series evaluates it
-        assert calls == 2 * len(curve.runs) == 338
+        # once, where the reader checks a run's cells; the series takes that row
+        assert calls == len(curve.runs) == 169
 
     def test_undefined_round_trips_as_nan(self, tmp_path):
         curve = threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5)
