@@ -8,12 +8,11 @@ and all operations are pure functions.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -189,8 +188,9 @@ def classify_at_threshold(samples: ScoredSamples, tau: float) -> ConfusionMatrix
     return samples.matrices_at((tau,))[0]
 
 
-# lines a scored CSV is read by at a time, and the number of counted lines that flushes them
+# text lines a scored CSV is read by at a time, and the number of counted lines that flushes them
 _CHUNK_LINES = 65_536
+_BLOCK_BYTES = 65_536  # bytes a scored-CSV file is read by at a time
 
 _LABEL_ALIASES = {"1": True, "positive": True, "0": False, "negative": False}
 
@@ -214,26 +214,40 @@ def read_scored_csv(path: str | Path) -> ScoredSamples:
     with a SampleParseError that names the physical line the first bad record
     starts on.  A file with a header but no data rows raises EmptyInputError.
 
-    Lines are read as bytes (as text if the first block shows a lone CR) a
-    chunk at a time and counted; a line is decoded and checked when first
-    counted since the counts were last flushed, once `_CHUNK_LINES` were held.
-    Parsing costs O(n) hashing plus O(D log D) for D distinct scores, memory
-    O(D) plus a chunk.  From a `"` or a later lone CR on, each record is checked.
+    The file, less a UTF-8 BOM, is read in blocks, split at LF, CRLF and lone
+    CR as `open(newline="")` splits it; a line is decoded and checked when
+    first counted since the counts were last flushed, once `_CHUNK_LINES` were
+    held.  Parsing costs O(n) hashing plus O(D log D) for D distinct scores,
+    memory O(D) plus a block; from a `"` on, each record is checked.
     """
     with open(path, "rb") as fh:
-        if fh.peek().count(b"\r") == fh.peek().count(b"\r\n"):  # the first block shows no lone CR
-            return parse_scored_csv(fh)
-        with io.TextIOWrapper(fh, "utf-8-sig", "surrogateescape", newline="") as text:  # byte lines end only at LF
-            return parse_scored_csv(text)
+        return _parse(_byte_lines(fh), lambda b: map(bytes.decode, b, repeat("utf-8"), repeat("surrogateescape")))
 
 
 def parse_scored_csv(lines: Iterable[str]) -> ScoredSamples:
-    lines = iter(lines)  # of text, or of bytes from `read_scored_csv`
-    head = next(lines, b"")  # an empty input reads as bytes that hold no text
-    binary = isinstance(head, bytes)
-    text_lines = _text_lines if binary else iter
-    head_lines = list(text_lines(iter([head.removeprefix(b"\xef\xbb\xbf") if binary else head])))  # less a UTF-8 BOM
-    reader = csv.reader(text := chain(head_lines, text_lines(lines)))
+    """`read_scored_csv` of text `lines`, with or without their line ends, read
+    by the same rules `_CHUNK_LINES` at a time; a BOM is not stripped."""
+    lines = iter(lines)
+    return _parse(iter(lambda: list(islice(lines, _CHUNK_LINES)), []), iter)
+
+
+def _byte_lines(fh) -> Iterator[list[bytes]]:
+    """The lines of binary `fh`, less a UTF-8 BOM: a non-empty list per block that ends a line, then the rest."""
+    parts = [fh.read(3).removeprefix(b"\xef\xbb\xbf")]  # the blocks since the last line end, joined once one is read
+    while block := fh.read(_BLOCK_BYTES):
+        parts.append(block)
+        if b"\n" in block or b"\r" in block:
+            lines = b"".join(parts).splitlines(keepends=True)
+            parts = [] if lines[-1].endswith(b"\n") else [lines.pop()]  # no end yet, or a CR that may begin a CRLF
+            if lines:
+                yield lines
+    yield b"".join(parts).splitlines(keepends=True)
+
+
+def _parse(chunks: Iterator[list], decoded: Callable[[Iterable], Iterator[str]]) -> ScoredSamples:
+    """Scored samples from `chunks` of lines, which `decoded(lines)` gives as text."""
+    chunk = next(chunks, [])
+    reader = csv.reader(text := decoded(chain(chunk, chain.from_iterable(chunks))))
     try:
         header = next(reader)
     except StopIteration:
@@ -246,18 +260,18 @@ def parse_scored_csv(lines: Iterable[str]) -> ScoredSamples:
     tallies = {True: {}, False: {}, None: {}}  # score -> count per class, keyed by is_positive; None for blank lines
     counts, samples = Counter(), []  # lines counted since the last flush, in first-sight order, and their samples
     first_line = reader.line_num + 1  # the physical number of the next line
-    quoted = text if first_line > 2 or len(head_lines) > 1 else None  # a header on many lines, or a lone CR
-    while quoted is None and (chunk := list(islice(lines, _CHUNK_LINES))):
+    quoted = text if first_line > 2 else None  # the rest of a header on many lines, read record by record
+    for chunk in chain([chunk[1:]], chunks) if quoted is None else ():
         known = len(counts)
         counts.update(chunk)
         new = list(islice(reversed(counts), len(counts) - known))[::-1]
-        joined = b"".join(new).decode("utf-8", "surrogateescape") if binary else "".join(new)
-        if '"' in joined or binary and joined.count("\r") != joined.count("\r\n"):
+        texts = list(decoded(new))
+        if '"' in "".join(texts):
             counts.subtract(chunk)  # its first-seen lines, past the end of `samples`, add nothing
-            quoted = text_lines(chain(chunk, lines))
+            quoted = decoded(chain(chunk, chain.from_iterable(chunks)))
             break
-        try:  # every byte line but a file's last ends in LF; text lines may have no line ends
-            samples.extend(map(_sample, csv.reader(joined.split("\n")[: len(new)] if binary else new)))
+        try:  # a line without a `"` is one record
+            samples.extend(map(_sample, csv.reader(texts)))
         except (ValueError, csv.Error) as exc:  # `samples` holds those before the bad line
             raise SampleParseError(first_line + chunk.index(new[len(samples) - known]), str(exc)) from None
         if len(counts) >= _CHUNK_LINES:
@@ -274,12 +288,6 @@ def parse_scored_csv(lines: Iterable[str]) -> ScoredSamples:
     except (ValueError, csv.Error) as exc:
         raise SampleParseError(start, str(exc)) from None
     return ScoredSamples.from_tallies(tallies[True], tallies[False])
-
-
-def _text_lines(lines: Iterator[bytes]) -> Iterator[str]:
-    """The text of byte `lines`, decoded a chunk at a time, split as `open(newline="")` splits it."""
-    while blob := b"".join(islice(lines, _CHUNK_LINES)):
-        yield from io.TextIOWrapper(io.BytesIO(blob), "utf-8", "surrogateescape", newline="")
 
 
 def _add(tallies: dict, counts: Iterable[int], samples: Iterable[tuple]) -> None:

@@ -118,9 +118,11 @@ class TestEval:
         assert rc == 0
         assert "tp=49  fp=32  fn=11  tn=108" in out
 
-    @pytest.mark.parametrize("bad_row", [None, 150], ids=["good", "bad-row"])
+    # the late-cr file ends its first 2,000 lines (30 KB) in LF and the rest in CR
+    @pytest.mark.parametrize("bad_row", [None, 150, 5000], ids=["good", "bad-row", "bad-row-after-cr"])
     def test_every_line_end_and_a_byte_order_mark_read_alike(self, capsys, tmp_path, bad_row):
         rows = DEMO_CSV.read_text().splitlines()
+        rows[1:] *= 40  # 8,000 rows in 120 KB, so over two 64 KiB blocks
         if bad_row is not None:
             rows[bad_row - 1] = "0.5,maybe"
         results = set()
@@ -128,14 +130,17 @@ class TestEval:
             path = tmp_path / f"{name}.csv"
             path.write_bytes((bom + end.join(rows) + end).encode())
             results.add(run_cli(capsys, "eval", "--file", str(path), "--format", "json"))
+        path = tmp_path / "late-cr.csv"
+        path.write_bytes(("\n".join(rows[:2000]) + "\n" + "\r".join(rows[2000:]) + "\r").encode())
+        results.add(run_cli(capsys, "eval", "--file", str(path), "--format", "json"))
         assert len(results) == 1
         rc, out, err = results.pop()
         if bad_row is None:
             assert (rc, err) == (0, "")
-            assert json.loads(out)["counts"] == {"tp": 49, "fp": 32, "fn": 11, "tn": 108}
+            assert json.loads(out)["counts"] == {"tp": 49 * 40, "fp": 32 * 40, "fn": 11 * 40, "tn": 108 * 40}
         else:
             assert (rc, out) == (2, "")
-            assert err == "p4metrics: error: line 150: unknown label 'maybe'\n"
+            assert err == f"p4metrics: error: line {bad_row}: unknown label 'maybe'\n"
 
     def test_csv_and_json_agree(self, capsys):
         rc, csv_out, _ = run_cli(capsys, "eval", "--counts", "0,0,3,4", "--format", "csv")
@@ -541,6 +546,18 @@ def test_a_long_curve_is_streamed_not_held_in_memory(tmp_path):
     curve_mb = large.stat().st_size / 2**20
     assert curve_mb > 20  # 100,001 keys
     assert peak - base < curve_mb / 2, (base, peak, curve_mb)
+
+
+def test_a_late_switch_to_lone_cr_line_ends_costs_no_memory(tmp_path):
+    # 10**6 rows; the late-cr copy ends its first 2,000 lines in LF and the rest in CR
+    header, *rows = DEMO_CSV.read_text().splitlines(keepends=True)
+    early, late = "".join(rows) * 10, "".join(rows) * 4_990
+    lf, late_cr = tmp_path / "lf.csv", tmp_path / "late-cr.csv"
+    lf.write_text(header + early + late, newline="")
+    late_cr.write_text(header + early + late.replace("\n", "\r"), newline="")
+    base = peak_rss_mb("eval", "--file", str(lf))
+    peak = peak_rss_mb("eval", "--file", str(late_cr))
+    assert peak - base < 1, (base, peak)
 
 
 def test_python_m_exits_2_on_one_line():
