@@ -190,6 +190,10 @@ def main(argv=None) -> int:
             parser.error("simulate balance needs --tpr")
         if args.kind == "tpr" and args.pos is None:
             parser.error("simulate tpr needs --pos")
+        if args.kind == "balance" and args.pos is not None:
+            parser.error("simulate balance takes no --pos")
+        if args.kind == "tpr" and args.tpr is not None:
+            parser.error("simulate tpr takes no --tpr")
     try:
         # the chart goes beside --out, so --out must exist and must not be the chart
         if getattr(args, "svg", False) and (args.out is None or Path(args.out).suffix.lower() == ".svg"):

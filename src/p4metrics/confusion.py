@@ -8,15 +8,19 @@ and all operations are pure functions.
 from __future__ import annotations
 
 import csv
+import marshal
 import math
 import operator
+import os
+import stat
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
-from .errors import EmptyInputError, EmptyMatrixError, NegativeCountError, SampleParseError
+from .errors import EmptyInputError, EmptyMatrixError, NegativeCountError, P4MetricsError, SampleParseError
 
 
 class _Record:
@@ -191,6 +195,7 @@ def classify_at_threshold(samples: ScoredSamples, tau: float) -> ConfusionMatrix
 # text lines a scored CSV is read by at a time, and the number of counted lines that flushes them
 _CHUNK_LINES = 65_536
 _BLOCK_BYTES = 65_536  # bytes a scored-CSV file is read by at a time
+_SPLIT_BYTES = 2 << 20  # the least bytes of a scored-CSV file worth counting in a range of its own
 
 _LABEL_ALIASES = {"1": True, "positive": True, "0": False, "negative": False}
 
@@ -219,9 +224,23 @@ def read_scored_csv(path: str | Path) -> ScoredSamples:
     first counted since the counts were last flushed, once `_CHUNK_LINES` were
     held.  Parsing costs O(n) hashing plus O(D log D) for D distinct scores,
     memory O(D) plus a block; from a `"` on, each record is checked.
+
+    A regular file of at least 2 * `_SPLIT_BYTES` is first counted in byte
+    ranges split at line ends, one per CPU the process may run on, when
+    `os.fork` exists and no other thread runs: this process counts the first
+    range and one forked child each other range.  Children only count lines;
+    this process merges the counts in file order and checks each distinct
+    line once.  A `"` in a data line, a bad line or header, a range with
+    `_CHUNK_LINES` distinct lines, or a child that fails or cannot be
+    started sends the whole file through the reader above, so every result
+    and error is the same.  No child outlives the call.
     """
     with open(path, "rb") as fh:
-        return _parse(_byte_lines(fh), lambda b: map(bytes.decode, b, repeat("utf-8"), repeat("surrogateescape")))
+        if len(bounds := _split_bounds(fh)) > 2:
+            if (samples := _read_ranges(path, fh, bounds)) is not None:
+                return samples
+            fh.seek(0)
+        return _parse(_byte_lines(fh), _decoded)
 
 
 def parse_scored_csv(lines: Iterable[str]) -> ScoredSamples:
@@ -231,11 +250,19 @@ def parse_scored_csv(lines: Iterable[str]) -> ScoredSamples:
     return _parse(iter(lambda: list(islice(lines, _CHUNK_LINES)), []), iter)
 
 
-def _byte_lines(fh) -> Iterator[list[bytes]]:
-    """The lines of binary `fh`, less a UTF-8 BOM: a non-empty list per block that ends a line, then the rest."""
-    parts = [fh.read(3).removeprefix(b"\xef\xbb\xbf")]  # the blocks since the last line end, joined once one is read
-    while block := fh.read(_BLOCK_BYTES):
+def _decoded(lines: Iterable[bytes]) -> Iterator[str]:
+    """Byte `lines` as text, a byte that is not UTF-8 as a lone surrogate."""
+    return map(bytes.decode, lines, repeat("utf-8"), repeat("surrogateescape"))
+
+
+def _byte_lines(fh, size: float = math.inf, bom: bytes = b"\xef\xbb\xbf") -> Iterator[list[bytes]]:
+    """The lines of the next `size` bytes of binary `fh`, less a leading `bom`:
+    a non-empty list per block that ends a line, then the rest."""
+    head = fh.read(min(len(bom), size))
+    parts, size = [head.removeprefix(bom)], size - len(head)  # the blocks since the last line end, joined once one is read
+    while block := fh.read(min(_BLOCK_BYTES, size)):
         parts.append(block)
+        size -= len(block)
         if b"\n" in block or b"\r" in block:
             lines = b"".join(parts).splitlines(keepends=True)
             parts = [] if lines[-1].endswith(b"\n") else [lines.pop()]  # no end yet, or a CR that may begin a CRLF
@@ -244,10 +271,129 @@ def _byte_lines(fh) -> Iterator[list[bytes]]:
     yield b"".join(parts).splitlines(keepends=True)
 
 
-def _parse(chunks: Iterator[list], decoded: Callable[[Iterable], Iterator[str]]) -> ScoredSamples:
-    """Scored samples from `chunks` of lines, which `decoded(lines)` gives as text."""
-    chunk = next(chunks, [])
-    reader = csv.reader(text := decoded(chain(chunk, chain.from_iterable(chunks))))
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _split_bounds(fh) -> list[int]:
+    """The offsets that split binary file `fh` into ranges to count apart, 0 and
+    its size included; [0, size] or [] when it is not worth or safe to split,
+    or a `"` shows.  Each inner offset follows the first line end, an LF or a
+    CR not before an LF, in the block at or after k * size / N for N ranges; a
+    block without one gives no offset."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return []
+    info = os.fstat(fd := fh.fileno())
+    size = info.st_size
+    if not stat.S_ISREG(info.st_mode) or size < 2 * _SPLIT_BYTES:
+        return []
+    ranges = min(_cpus(), size // _SPLIT_BYTES)
+    bounds = [0]
+    for k in range(1, ranges):
+        at = k * size // ranges
+        block = os.pread(fd, _BLOCK_BYTES + 1, at)  # and the byte after it, to tell a lone CR from a CRLF
+        if b'"' in block:  # the file will be read record by record
+            return []
+        lf, cr = block.find(b"\n", 0, _BLOCK_BYTES), block.find(b"\r", 0, _BLOCK_BYTES)
+        end = cr + (block[cr + 1 : cr + 2] == b"\n") if cr >= 0 and (lf < 0 or cr < lf) else lf
+        if end >= 0 and bounds[-1] < at + end + 1 < size:
+            bounds.append(at + end + 1)
+    return bounds + [size]
+
+
+def _read_ranges(path: str | Path, fh, bounds: list[int]) -> ScoredSamples | None:
+    """The samples of the file `fh` opened at `path`, counted by ranges between
+    `bounds`, the first here and each other in a forked child; None if it
+    must be read whole.  Every child is reaped before this returns."""
+    children, fds = [], []  # (pid, pipe's read end) of each child not yet reaped, and fds to close
+    try:
+        for start, end in zip(bounds[1:], bounds[2:]):
+            try:
+                fds += os.pipe()
+                pid = os.fork()
+            except OSError:  # no file or process to spare
+                return None
+            if pid == 0:
+                _count_range(path, fh.fileno(), start, end, *fds[-2:])
+            children.append((pid, fds[-2]))
+            os.close(fds.pop())
+        counts = _count(_byte_lines(fh, bounds[1]))
+        while counts is not None and children:
+            pid, fd = children[0]
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status != 0:
+                return None
+            try:
+                counts.update(marshal.loads(data))
+            except (EOFError, ValueError, TypeError):  # a result cut short
+                return None
+    finally:
+        for fd in fds:
+            os.close(fd)
+        if children:
+            from signal import SIGKILL
+
+            for pid, _ in children:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    return None if counts is None else _checked(counts)
+
+
+def _count_range(path: str | Path, fd: int, start: int, end: int, read: int, write: int) -> NoReturn:
+    """In a forked child: write the counts of the lines between bytes `start`
+    and `end` of the file open as `fd` at `path` to the pipe, then exit 0;
+    exit 1 without them.  It never returns, runs no exit handler and flushes
+    no stream of its parent's."""
+    code = 1
+    try:
+        os.close(read)
+        with open(path, "rb") as fh:  # its own offset: a forked file shares one
+            if os.path.samestat(os.fstat(fh.fileno()), os.fstat(fd)):
+                fh.seek(start)
+                counts = _count(_byte_lines(fh, end - start, b""))
+                if counts is not None:
+                    with open(write, "wb") as pipe:
+                        marshal.dump(dict(counts), pipe)
+                    code = 0
+    finally:
+        os._exit(code)
+
+
+def _count(chunks: Iterable[list[bytes]]) -> Counter | None:
+    """The count of each line in `chunks`, in first-seen order; None once `_CHUNK_LINES` are distinct."""
+    counts = Counter()
+    for chunk in chunks:
+        counts.update(chunk)
+        if len(counts) >= _CHUNK_LINES:
+            return None
+    return counts
+
+
+def _checked(counts: Counter) -> ScoredSamples | None:
+    """The samples of a file whose `counts` of each line, its header first,
+    were made unchecked; None if a line needs the record-by-record reader:
+    one that is bad, or a data line that holds a `"`."""
+    header = next(iter(counts))
+    if counts[header] != 1 or b'"' in b"".join(islice(counts, 1, None)):  # a second header line is a bad row
+        return None
+    reader = csv.reader(_decoded(counts))
+    try:
+        _header(reader)  # one on many lines has a `"` on a later line, or swallows every line
+        samples = list(map(_sample, reader))
+    except (P4MetricsError, ValueError, csv.Error):
+        return None
+    tallies = {True: {}, False: {}, None: {}}
+    _add(tallies, islice(counts.values(), 1, None), samples)
+    return ScoredSamples.from_tallies(tallies[True], tallies[False])
+
+
+def _header(reader) -> None:
+    """Read and check the `score,label` header record of csv `reader`."""
     try:
         header = next(reader)
     except StopIteration:
@@ -257,6 +403,12 @@ def _parse(chunks: Iterator[list], decoded: Callable[[Iterable], Iterator[str]])
     if [column.strip().lower() for column in header] != ["score", "label"]:
         raise SampleParseError(1, f"expected header 'score,label', got {','.join(header)!r}")
 
+
+def _parse(chunks: Iterator[list], decoded: Callable[[Iterable], Iterator[str]]) -> ScoredSamples:
+    """Scored samples from `chunks` of lines, which `decoded(lines)` gives as text."""
+    chunk = next(chunks, [])
+    reader = csv.reader(text := decoded(chain(chunk, chain.from_iterable(chunks))))
+    _header(reader)
     tallies = {True: {}, False: {}, None: {}}  # score -> count per class, keyed by is_positive; None for blank lines
     counts, samples = Counter(), []  # lines counted since the last flush, in first-sight order, and their samples
     first_line = reader.line_num + 1  # the physical number of the next line

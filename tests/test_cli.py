@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from p4metrics import csvio, read_curve_csv, svg, sweep, threshold_sweep
+from p4metrics import confusion, csvio, read_curve_csv, svg, sweep, threshold_sweep
 from p4metrics.cli import main
 from conftest import DEMO_CSV, FIXTURES, NON_UTF8_CSVS, NUMBER_SPELLINGS
 
@@ -460,9 +460,13 @@ def test_a_number_spelling_exits_2_or_is_read_as_documented(capsys, tmp_path, sp
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "balance", "--tnr", "0.5"], "p4metrics: error: simulate balance needs --tpr"),
     (["simulate", "tpr", "--tnr", "0.5"], "p4metrics: error: simulate tpr needs --pos"),
+    (["simulate", "balance", "--tpr", "0.5", "--tnr", "0.5", "--pos", "0.3"],
+     "p4metrics: error: simulate balance takes no --pos"),
+    (["simulate", "tpr", "--n", "100", "--pos", "0.5", "--tnr", "0.5", "--tpr", "0.3"],
+     "p4metrics: error: simulate tpr takes no --tpr"),
     (["sweep", "--file", "x", "--delta", "abc"], "p4metrics sweep: error: argument --delta: invalid float value: 'abc'"),
     (["frobnicate"], "p4metrics: error: argument command: invalid choice: 'frobnicate'"),
-], ids=["missing-tpr", "missing-pos", "bad-delta", "unknown-command"])
+], ids=["missing-tpr", "missing-pos", "stray-pos", "stray-tpr", "bad-delta", "unknown-command"])
 def test_a_usage_error_is_one_line(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
@@ -565,3 +569,47 @@ def test_python_m_exits_2_on_one_line():
     assert done.returncode == 2
     assert done.stdout == b""
     assert done.stderr == b"p4metrics: error: all four counts are zero\n"
+
+
+def large_scored_csv(path, repeats, bad_line=None):
+    """Write the demo's rows `repeats` times, over the size at which
+    `read_scored_csv` counts a file in ranges, with line `bad_line` bad."""
+    header, *rows = DEMO_CSV.read_bytes().splitlines(keepends=True)
+    rows *= repeats
+    if bad_line is not None:
+        rows[bad_line - 2] = b"0.5,maybe\n"
+    path.write_bytes(header + b"".join(rows))
+    assert path.stat().st_size >= 4 << 20
+
+
+# 300,001 lines in 4.5 MB, counted in 3 ranges: one bad line in each
+@pytest.mark.parametrize("bad_line", [100, 150_000, 299_000])
+def test_a_bad_row_in_a_large_file_is_named_by_its_line(capsys, monkeypatch, tmp_path, bad_line):
+    path = tmp_path / "scores.csv"
+    large_scored_csv(path, 1_500, bad_line)
+    expected = (2, "", f"p4metrics: error: line {bad_line}: unknown label 'maybe'\n")
+    monkeypatch.setattr(confusion, "_cpus", lambda: 3)
+    assert run_cli(capsys, "eval", "--file", str(path)) == expected
+    monkeypatch.setattr(confusion, "_cpus", lambda: 1)
+    assert run_cli(capsys, "eval", "--file", str(path)) == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_a_pipe_is_read_without_a_fork(tmp_path):
+    path = tmp_path / "scores.csv"
+    large_scored_csv(path, 5_000)  # 10**6 rows
+    on_file = python_m("eval", "--file", str(path), "--format", "json")
+    assert (on_file.returncode, on_file.stderr) == (0, b"")
+    # the same rows through a pipe, in a child whose os.fork fails the run
+    script = (
+        "import os, sys\n"
+        "def fork():\n"
+        "    raise AssertionError('forked')\n"
+        "os.fork = fork\n"
+        "from p4metrics.cli import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, "eval", "--file", "/dev/stdin", "--format", "json"],
+                          input=path.read_bytes(), capture_output=True, env=child_env())
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == on_file.stdout

@@ -1,8 +1,12 @@
 import csv
 import io
+import marshal
 import math
+import os
 import random
 import re
+import signal
+import threading
 import time
 from unittest.mock import patch
 
@@ -422,3 +426,156 @@ class TestScoredCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_scored_csv(tmp_path / "nope.csv")
+
+
+def read_serially(path):
+    """`outcome` of `read_scored_csv(path)` in one process."""
+    with patch.object(confusion, "_cpus", lambda: 1):
+        return outcome(read_scored_csv, path)
+
+
+class WritesThenFails:
+    """A `marshal` for a child that writes a well-formed, empty result and then fails."""
+
+    @staticmethod
+    def dump(value, file):
+        file.write(marshal.dumps({}))
+        raise OSError("failed after writing")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitRead:
+    """A large regular file is counted in byte ranges, the first in this process
+    and each other in a forked child, and checked once here."""
+
+    @settings(max_examples=300)
+    @given(text=scored_csv_texts(), split_bytes=st.integers(min_value=1, max_value=64),
+           cpus=st.integers(min_value=2, max_value=4), block_bytes=st.integers(min_value=1, max_value=64),
+           bom=st.booleans())
+    # a quote, then a bad row, after the first split point
+    @example(text='score,label\n0.5,1\n0.25,0\n0.5,1\n0.25,0\n"0.5",1\n', split_bytes=16, cpus=2, block_bytes=4, bom=False)
+    @example(text="score,label\n0.5,1\n0.25,0\n0.5,1\n0.25,0\n0.5,maybe\n0.5,1\n", split_bytes=16, cpus=3,
+             block_bytes=8, bom=False)
+    # a second header line, and a line that begins with a BOM at the start of a range
+    @example(text="score,label\n0.5,1\n0.25,0\nscore,label\n0.5,1\n", split_bytes=16, cpus=2, block_bytes=8, bom=False)
+    @example(text="score,label\n0.5,1\n0.25,0\n\ufeff0.5,1\n0.25,0\n", split_bytes=16, cpus=2, block_bytes=8, bom=False)
+    # blank lines, and a CRLF and lone CRs about the split points
+    @example(text="score,label\n0.5,1\n\n0.25,0\n\n0.5,1\n0.75,0\n", split_bytes=8, cpus=4, block_bytes=8, bom=False)
+    @example(text="score,label\r\n0.5,1\r\n0.25,0\r0.5,1\r\n0.75,0\r0.25,0\r", split_bytes=8, cpus=4, block_bytes=8,
+             bom=False)
+    # a header over many lines, whose last lines lie past the first split point
+    @example(text='"score' + "\n" * 10 + '",label\n0.5,1\n0.25,0\n', split_bytes=4, cpus=4, block_bytes=2, bom=False)
+    @example(text="score,label\n0.5,1\n0.25,0\n0.5,1\n0.25,0\n", split_bytes=16, cpus=2, block_bytes=8, bom=True)
+    def test_a_split_read_agrees_with_a_serial_read(self, scored_path, text, split_bytes, cpus, block_bytes, bom):
+        scored_path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
+        limit = csv.field_size_limit(24)
+        try:
+            # the oracle reads the headers scored_csv_texts() draws
+            oracle = text.startswith(("score,label", '"score","label"'))
+            expected = oracles.parse_scored_rows(io.StringIO(text, newline="")) if oracle else (None,)
+            with patch.object(confusion, "_SPLIT_BYTES", split_bytes), patch.object(confusion, "_BLOCK_BYTES", block_bytes):
+                serial = read_serially(scored_path)
+                with patch.object(confusion, "_cpus", lambda: cpus):
+                    split = outcome(read_scored_csv, scored_path)
+        finally:
+            csv.field_size_limit(limit)
+        assert split == serial
+        if expected[0] is None:
+            assert split == ("ok", ScoredSamples([0.5], [0.25]))
+        elif expected[0] == "error":
+            _, line, message = expected
+            assert split == ("error", line, f"line {line}: {message}")
+        elif expected[1]:
+            assert split == ("ok", samples_from(expected[1]))
+        else:
+            assert split == ("empty",)
+
+    # a quoted header, as R's write.csv writes, is read as one record
+    @pytest.mark.parametrize("header", ["score,label", '"score","label"'], ids=["header", "quoted-header"])
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("end", LINE_ENDS, ids=["lf", "crlf", "cr"])
+    def test_each_distinct_line_of_a_split_file_is_checked_once(self, demo_pairs, tmp_path, header, bom, end):
+        path = tmp_path / "scores.csv"
+        _, *rows = DEMO_CSV.read_text().splitlines()
+        path.write_bytes((bom + end.join([header, *rows * 3]) + end).encode())
+        # the reader that checks every line when first counted in a chunk must not run
+        with (patch.object(confusion, "_SPLIT_BYTES", 1024), patch.object(confusion, "_cpus", lambda: 4),
+              patch.object(confusion, "_parse", side_effect=AssertionError("read serially")),
+              patch.object(confusion, "_sample", wraps=confusion._sample) as check):
+            samples = read_scored_csv(path)
+        assert check.call_count == len(set(rows))
+        assert samples == samples_from(demo_pairs * 3)
+        assert_no_child_left()
+
+    # with 512-byte ranges the demo's 3,012 bytes are counted in 3 ranges, so
+    # line 11 lies in this process's range and line 150 in the last child's
+    @pytest.mark.parametrize("case", [
+        "good", "bad-row-while-a-child-counts", "bad-row-in-a-child", "child-killed", "child-fails-after-writing",
+        "too-many-distinct-lines", "interrupt", "fork-fails",
+    ])
+    def test_no_child_outlives_the_read(self, tmp_path, capfd, monkeypatch, case):
+        rows = DEMO_CSV.read_text().splitlines(keepends=True)
+        if (bad_line := {"bad-row-while-a-child-counts": 11, "bad-row-in-a-child": 150}.get(case)) is not None:
+            rows[bad_line - 1] = "0.5,maybe\n"
+        path = tmp_path / "scores.csv"
+        path.write_text("".join(rows), newline="")
+        serial = read_serially(path)
+        in_child = {
+            "bad-row-while-a-child-counts": lambda: time.sleep(0.2),
+            "child-killed": lambda: os.kill(os.getpid(), signal.SIGKILL),
+            "child-fails-after-writing": lambda: setattr(confusion, "marshal", WritesThenFails),
+            "too-many-distinct-lines": lambda: time.sleep(60),
+            "interrupt": lambda: time.sleep(60),
+        }.get(case, lambda: None)
+        parent, count, fork, forks = os.getpid(), confusion._count, os.fork, []
+
+        def counted(chunks):
+            if os.getpid() != parent:
+                in_child()
+            elif case == "interrupt":
+                raise KeyboardInterrupt
+            return count(chunks)
+
+        def forked():
+            forks.append(None)
+            if case == "fork-fails" and len(forks) == 2:
+                raise BlockingIOError("no process to spare")
+            return fork()
+
+        monkeypatch.setattr(confusion, "_SPLIT_BYTES", 512)
+        monkeypatch.setattr(confusion, "_cpus", lambda: 3)
+        monkeypatch.setattr(confusion, "_count", counted)
+        monkeypatch.setattr(os, "fork", forked)
+        if case == "too-many-distinct-lines":
+            monkeypatch.setattr(confusion, "_CHUNK_LINES", 40)
+        start = time.perf_counter()
+        if case == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                read_scored_csv(path)
+        else:
+            assert outcome(read_scored_csv, path) == serial
+        assert time.perf_counter() - start < 10  # no sleeping child was waited for
+        assert len(forks) == 2
+        assert_no_child_left()
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("case", ["small-file", "one-cpu", "second-thread"])
+    def test_no_fork_where_it_cannot_pay_or_is_unsafe(self, demo_samples, monkeypatch, case):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        monkeypatch.setattr(confusion, "_SPLIT_BYTES", DEMO_CSV.stat().st_size // 2 + 1 if case == "small-file" else 256)
+        monkeypatch.setattr(confusion, "_cpus", lambda: 1 if case == "one-cpu" else 4)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        if case == "second-thread":
+            thread.start()
+        try:
+            assert read_scored_csv(DEMO_CSV) == demo_samples
+        finally:
+            done.set()
+            if case == "second-thread":
+                thread.join(timeout=10)
+        assert not thread.is_alive()
