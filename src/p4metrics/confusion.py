@@ -20,7 +20,7 @@ from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
-from .errors import EmptyInputError, EmptyMatrixError, NegativeCountError, P4MetricsError, SampleParseError
+from .errors import EmptyInputError, EmptyMatrixError, NegativeCountError, SampleParseError
 
 
 class _Record:
@@ -192,7 +192,8 @@ def classify_at_threshold(samples: ScoredSamples, tau: float) -> ConfusionMatrix
     return samples.matrices_at((tau,))[0]
 
 
-# text lines a scored CSV is read by at a time, and the number of counted lines that flushes them
+# text lines a scored CSV is read by at a time, the number of counted lines that flushes them, and the number
+# of distinct lines at which a byte range being counted gives up, so that the file is read serially
 _CHUNK_LINES = 65_536
 _BLOCK_BYTES = 65_536  # bytes a scored-CSV file is read by at a time
 _SPLIT_BYTES = 2 << 20  # the least bytes of a scored-CSV file worth counting in a range of its own
@@ -229,11 +230,11 @@ def read_scored_csv(path: str | Path) -> ScoredSamples:
     ranges split at line ends, one per CPU the process may run on, when
     `os.fork` exists and no other thread runs: this process counts the first
     range and one forked child each other range.  Children only count lines;
-    this process merges the counts in file order and checks each distinct
-    line once.  A `"` in a data line, a bad line or header, a range with
-    `_CHUNK_LINES` distinct lines, or a child that fails or cannot be
-    started sends the whole file through the reader above, so every result
-    and error is the same.  No child outlives the call.
+    their merged counts, in file order, go to the same checker as one chunk,
+    so each distinct line is checked once.  A `"` in a data line, a bad line
+    or header, a range with `_CHUNK_LINES` distinct lines, or a child that
+    fails or cannot be started sends the whole file through the reader
+    above, so every result and error is the same.  No child outlives the call.
     """
     with open(path, "rb") as fh:
         if len(bounds := _split_bounds(fh)) > 2:
@@ -341,7 +342,12 @@ def _read_ranges(path: str | Path, fh, bounds: list[int]) -> ScoredSamples | Non
             for pid, _ in children:
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-    return None if counts is None else _checked(counts)
+    if counts is None or counts.pop(header := next(iter(counts))) != 1 or b'"' in b"".join(counts):
+        return None  # a second header line is a bad row, and a data line with a `"` is read record by record
+    try:  # the merged counts are one chunk, so a bad line's number would count distinct lines
+        return _parse(iter([[header], counts]), _decoded)
+    except SampleParseError:
+        return None
 
 
 def _count_range(path: str | Path, fd: int, start: int, end: int, read: int, write: int) -> NoReturn:
@@ -374,24 +380,6 @@ def _count(chunks: Iterable[list[bytes]]) -> Counter | None:
     return counts
 
 
-def _checked(counts: Counter) -> ScoredSamples | None:
-    """The samples of a file whose `counts` of each line, its header first,
-    were made unchecked; None if a line needs the record-by-record reader:
-    one that is bad, or a data line that holds a `"`."""
-    header = next(iter(counts))
-    if counts[header] != 1 or b'"' in b"".join(islice(counts, 1, None)):  # a second header line is a bad row
-        return None
-    reader = csv.reader(_decoded(counts))
-    try:
-        _header(reader)  # one on many lines has a `"` on a later line, or swallows every line
-        samples = list(map(_sample, reader))
-    except (P4MetricsError, ValueError, csv.Error):
-        return None
-    tallies = {True: {}, False: {}, None: {}}
-    _add(tallies, islice(counts.values(), 1, None), samples)
-    return ScoredSamples.from_tallies(tallies[True], tallies[False])
-
-
 def _header(reader) -> None:
     """Read and check the `score,label` header record of csv `reader`."""
     try:
@@ -404,8 +392,8 @@ def _header(reader) -> None:
         raise SampleParseError(1, f"expected header 'score,label', got {','.join(header)!r}")
 
 
-def _parse(chunks: Iterator[list], decoded: Callable[[Iterable], Iterator[str]]) -> ScoredSamples:
-    """Scored samples from `chunks` of lines, which `decoded(lines)` gives as text."""
+def _parse(chunks: Iterator[Iterable], decoded: Callable[[Iterable], Iterator[str]]) -> ScoredSamples:
+    """Scored samples from `chunks`, each a list or `Counter` of lines, which `decoded(lines)` gives as text."""
     chunk = next(chunks, [])
     reader = csv.reader(text := decoded(chain(chunk, chain.from_iterable(chunks))))
     _header(reader)
@@ -425,7 +413,7 @@ def _parse(chunks: Iterator[list], decoded: Callable[[Iterable], Iterator[str]])
         try:  # a line without a `"` is one record
             samples.extend(map(_sample, csv.reader(texts)))
         except (ValueError, csv.Error) as exc:  # `samples` holds those before the bad line
-            raise SampleParseError(first_line + chunk.index(new[len(samples) - known]), str(exc)) from None
+            raise SampleParseError(first_line + operator.indexOf(chunk, new[len(samples) - known]), str(exc)) from None
         if len(counts) >= _CHUNK_LINES:
             _add(tallies, counts.values(), samples)
             counts, samples = Counter(), []

@@ -1,10 +1,11 @@
 import csv
+import math
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from p4metrics import ConfusionMatrix, ScoredSamples, read_scored_csv
+from p4metrics import ConfusionMatrix, ScoredSamples, evaluate_all, read_scored_csv
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DEMO_CSV = FIXTURES / "scored_demo.csv"
@@ -33,6 +34,15 @@ def samples_from(pairs):
         [score for score, is_positive in pairs if is_positive],
         [score for score, is_positive in pairs if not is_positive],
     )
+
+
+def float_distance(matrix, y_name):
+    """The matrix's float distance to (1, 1), or None with an undefined coordinate."""
+    report = evaluate_all(matrix)
+    x, y = report.mcc_scaled, getattr(report, y_name)
+    if not (x.is_defined and y.is_defined):
+        return None
+    return math.hypot(1.0 - x.value, 1.0 - y.value)
 
 
 # 2,000 good rows, so that a bad byte after them lies past the first 8 KB
@@ -65,6 +75,47 @@ unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 def scored_pairs(min_size=1, max_size=50):
     """Lists of (score, is_positive) pairs, for `samples_from` and the oracles."""
     return st.lists(st.tuples(unit_floats, st.booleans()), min_size=min_size, max_size=max_size)
+
+
+# rows for generated scored CSV text: duplicates, quoted fields, quoted line
+# ends, blank lines and, in BAD_ROWS, one row of each kind of error (the last
+# is over a field size limit of 24)
+GOOD_ROWS = (
+    "0.5,1", "0.50,positive", "0,0", "1,NEGATIVE", ".25, 1 ", " 1e-1,0", "",
+    '"0.5",1', '0.25,"0"', '"0.75","positive"', '0.75,"1\n"', '"1","0\r\n"', '0.5,"1\r"',
+)
+BAD_ROWS = (
+    "bad,1", "1.5,0", "-0.1,1", "nan,1", "0.5,maybe", "0.5,1,extra", "0.5", " ",
+    '"0.5,1"', '0.5,"2\n"', "0." + "1" * 30 + ",1",
+)
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def scored_csv_texts(draw):
+    """Scored CSV text: up to 16 rows repeating a few good rows, then, in
+    some texts, up to 8 that also repeat a few bad rows; each row drawn with
+    its own line end."""
+
+    def rows(pool, max_size):
+        ended_row = st.tuples(st.sampled_from(pool), st.sampled_from(LINE_ENDS))
+        palette = draw(st.lists(ended_row, min_size=1, max_size=3))
+        return draw(st.lists(st.sampled_from(palette), max_size=max_size))
+
+    lines = rows(GOOD_ROWS, 16)
+    if draw(st.booleans()):
+        lines += rows(GOOD_ROWS + BAD_ROWS, 8)
+    text = draw(st.sampled_from(["score,label", '"score","label"'])) + draw(st.sampled_from(LINE_ENDS))
+    text += "".join(row + end for row, end in lines)
+    if lines and draw(st.booleans()):
+        text = text[: -len(lines[-1][1])]  # no line end after the last row
+    return text
+
+
+@pytest.fixture(scope="module")
+def scored_path(tmp_path_factory):
+    """One file for each example of a hypothesis test to write and read."""
+    return tmp_path_factory.mktemp("scored") / "scores.csv"
 
 
 @pytest.fixture(scope="session")

@@ -96,6 +96,17 @@ def scaled(value):
     return (value + 1) / 2
 
 
+def report(tp, fp, fn, tn):
+    """Every metric as a Decimal, None where undefined, in the library's
+    report order: prec, rec, spec, npv, f1, p4, then mcc, j and mk, each
+    followed by its scaled value."""
+    corr, j, mk = mcc(tp, fp, fn, tn), youden(tp, fp, fn, tn), markedness(tp, fp, fn, tn)
+    return (
+        *rates(tp, fp, fn, tn), f1(tp, fp, fn, tn), p4(tp, fp, fn, tn),
+        corr, scaled(corr), j, scaled(j), mk, scaled(mk),
+    )
+
+
 def pair_coordinates(counts, y_name):
     """(x, y) = (scaled MCC, F1 or P4) for one confusion matrix, as Decimals."""
     x = scaled(mcc(*counts))

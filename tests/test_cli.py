@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,12 +8,17 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from p4metrics import confusion, csvio, read_curve_csv, svg, sweep, threshold_sweep
+from p4metrics import ConfusionMatrix, confusion, csvio, read_curve_csv, svg, sweep, threshold_sweep
 from p4metrics.cli import main
-from conftest import DEMO_CSV, FIXTURES, NON_UTF8_CSVS, NUMBER_SPELLINGS
+from p4metrics.metrics import METRIC_NAMES
+from p4metrics.sweep import make_grid
+from conftest import DEMO_CSV, FIXTURES, NON_UTF8_CSVS, NUMBER_SPELLINGS, float_distance, scored_csv_texts, unit_floats
+import oracles
 
 
 BOTH_OPTIMA = (
@@ -613,3 +619,89 @@ def test_a_pipe_is_read_without_a_fork(tmp_path):
                           input=path.read_bytes(), capture_output=True, env=child_env())
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout == on_file.stdout
+
+
+def run_main(*argv):
+    """(exit status, stdout, stderr) of `main(argv)` in this process, without
+    capsys, which a hypothesis test cannot take."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def assert_oracle_metrics(values, counts):
+    """Each metric value is the oracle's for `counts`, or nan where it is Undefined."""
+    for name, value, want in zip(METRIC_NAMES, values, oracles.report(*counts), strict=True):
+        if want is None:
+            assert math.isnan(value), name
+        else:
+            assert abs(value - float(want)) <= 1e-12, name
+
+
+def optimum_line(keys, pairs, y_name):
+    """The `optimal tau` line `sweep` prints for `pairs` over `keys`, or None
+    with no defined point: the oracle's optimum, with ties in float distance
+    going to the smallest tau."""
+    oracle = oracles.best_threshold(keys, pairs, y_name)
+    if oracle is None:
+        return None
+    distances = {tau: float_distance(ConfusionMatrix(*oracles.classify_counts(pairs, tau)), y_name) for tau in keys}
+    distance = min(d for d in distances.values() if d is not None)
+    assert abs(distance - float(oracle[1])) <= 1e-12
+    tau = min(tau for tau in keys if distances[tau] == distance)
+    return f"optimal tau (mcc-{y_name}) = {tau:g} (distance {distance:.6f})\n"
+
+
+# a split_bytes under 64 has the file counted in ranges, as in TestSplitRead in test_confusion.py
+@settings(max_examples=150, deadline=None)
+@given(text=scored_csv_texts(), tau=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | unit_floats,
+       delta=st.sampled_from([0.01, 0.03, 0.1, 1 / 7, 0.25, 1.0]) | st.floats(min_value=0.01, max_value=1.0),
+       split_bytes=st.just(confusion._SPLIT_BYTES) | st.integers(min_value=1, max_value=64),
+       cpus=st.integers(min_value=2, max_value=4))
+@example(text="score,label\n0.5,1\n0.25,0\n0.5,1\n0.25,0\n", tau=0.25, delta=0.25, split_bytes=16, cpus=2)
+@example(text="score,label\n0.5,1\n0.25,0\n0.5,1\n0.25,0\n0.5,maybe\n0.5,1\n", tau=0.5, delta=0.1, split_bytes=16,
+         cpus=3)
+def test_the_cli_agrees_with_the_oracles(scored_path, text, tau, delta, split_bytes, cpus):
+    scored_path.write_bytes(text.encode())
+    curve = scored_path.with_name("curve.csv")
+    curve.unlink(missing_ok=True)
+    limit = csv.field_size_limit(24)  # so that the long score of scored_csv_texts() is a csv error
+    try:
+        expected = oracles.parse_scored_rows(io.StringIO(text, newline=""))
+        with patch.object(confusion, "_SPLIT_BYTES", split_bytes), patch.object(confusion, "_cpus", lambda: cpus):
+            evals = [run_main("eval", "--file", str(scored_path), "--tau", repr(tau), "--format", form)
+                     for form in ("csv", "json")]
+            swept = run_main("sweep", "--file", str(scored_path), "--delta", repr(delta), "--pair", "both",
+                             "--out", str(curve))
+    finally:
+        csv.field_size_limit(limit)
+    if expected[0] == "error" or not expected[1]:
+        message = f"line {expected[1]}: {expected[2]}" if expected[0] == "error" else "no samples"
+        assert evals == [(2, "", f"p4metrics: error: {message}\n")] * 2
+        assert swept == (2, "", f"p4metrics: error: {message}\n")
+        assert not curve.exists()
+        return
+    pairs = expected[1]
+    counts = oracles.classify_counts(pairs, tau)
+    (rc, out, err), (json_rc, json_out, json_err) = evals
+    assert (rc, err, json_rc, json_err) == (0, "", 0, "")
+    header, row = csv.reader(io.StringIO(out))
+    assert header == list(csvio.COLUMNS)
+    assert tuple(map(int, row[:4])) == counts
+    assert_oracle_metrics(map(float, row[4:]), counts)
+    record = json.loads(json_out)
+    assert record["counts"] == dict(zip(csvio.COUNT_COLUMNS, counts))
+    assert list(record["metrics"]) == list(METRIC_NAMES)
+    assert_oracle_metrics(record["metrics"].values(), counts)
+    keys = make_grid(0.0, 1.0, delta)
+    lines = {y_name: optimum_line(keys, pairs, y_name) for y_name in ("f1", "p4")}
+    if None in lines.values():
+        pair = next(y_name for y_name, line in lines.items() if line is None)
+        assert swept == (2, "", f"p4metrics: error: no fully defined points on the mcc-{pair} curve\n")
+        assert not curve.exists()
+        return
+    assert swept == (0, "".join(lines.values()), "")
+    series = read_curve_csv(curve)
+    assert series.keys == keys
+    assert [(m.tp, m.fp, m.fn, m.tn) for m in series.matrices] == [oracles.classify_counts(pairs, k) for k in keys]

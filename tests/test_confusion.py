@@ -26,7 +26,10 @@ from p4metrics import (
     swap_labels,
 )
 from p4metrics import confusion
-from conftest import DEMO_COUNTS_AT_HALF, DEMO_CSV, NON_UTF8_CSVS, NUMBER_SPELLINGS, matrices, samples_from, scored_pairs, unit_floats
+from conftest import (
+    DEMO_COUNTS_AT_HALF, DEMO_CSV, LINE_ENDS, NON_UTF8_CSVS, NUMBER_SPELLINGS, matrices, samples_from, scored_csv_texts,
+    scored_pairs, unit_floats,
+)
 import oracles
 
 
@@ -184,41 +187,6 @@ class TestClassifyAtThreshold:
         assert trials >= 10_000
 
 
-# rows for generated scored CSV text: duplicates, quoted fields, quoted line
-# ends, blank lines and, in BAD_ROWS, one row of each kind of error (the last
-# is over a field size limit of 24)
-GOOD_ROWS = (
-    "0.5,1", "0.50,positive", "0,0", "1,NEGATIVE", ".25, 1 ", " 1e-1,0", "",
-    '"0.5",1', '0.25,"0"', '"0.75","positive"', '0.75,"1\n"', '"1","0\r\n"', '0.5,"1\r"',
-)
-BAD_ROWS = (
-    "bad,1", "1.5,0", "-0.1,1", "nan,1", "0.5,maybe", "0.5,1,extra", "0.5", " ",
-    '"0.5,1"', '0.5,"2\n"', "0." + "1" * 30 + ",1",
-)
-LINE_ENDS = ("\n", "\r\n", "\r")
-
-
-@st.composite
-def scored_csv_texts(draw):
-    """Scored CSV text: up to 16 rows repeating a few good rows, then, in
-    some texts, up to 8 that also repeat a few bad rows; each row drawn with
-    its own line end."""
-
-    def rows(pool, max_size):
-        ended_row = st.tuples(st.sampled_from(pool), st.sampled_from(LINE_ENDS))
-        palette = draw(st.lists(ended_row, min_size=1, max_size=3))
-        return draw(st.lists(st.sampled_from(palette), max_size=max_size))
-
-    lines = rows(GOOD_ROWS, 16)
-    if draw(st.booleans()):
-        lines += rows(GOOD_ROWS + BAD_ROWS, 8)
-    text = draw(st.sampled_from(["score,label", '"score","label"'])) + draw(st.sampled_from(LINE_ENDS))
-    text += "".join(row + end for row, end in lines)
-    if lines and draw(st.booleans()):
-        text = text[: -len(lines[-1][1])]  # no line end after the last row
-    return text
-
-
 def outcome(read, source):
     """What `read(source)` gives: ("ok", samples), ("empty",), or ("error", line, message)."""
     try:
@@ -227,12 +195,6 @@ def outcome(read, source):
         return "error", exc.line, str(exc)
     except EmptyInputError:
         return ("empty",)
-
-
-@pytest.fixture(scope="module")
-def scored_path(tmp_path_factory):
-    """One file for each example of a hypothesis test to write and read."""
-    return tmp_path_factory.mktemp("scored") / "scores.csv"
 
 
 class TestScoredCsv:
@@ -455,29 +417,40 @@ class TestSplitRead:
     @settings(max_examples=300)
     @given(text=scored_csv_texts(), split_bytes=st.integers(min_value=1, max_value=64),
            cpus=st.integers(min_value=2, max_value=4), block_bytes=st.integers(min_value=1, max_value=64),
-           bom=st.booleans())
+           bom=st.booleans(), chunk_lines=st.sampled_from([2, 3, 65_536]))
     # a quote, then a bad row, after the first split point
-    @example(text='score,label\n0.5,1\n0.25,0\n0.5,1\n0.25,0\n"0.5",1\n', split_bytes=16, cpus=2, block_bytes=4, bom=False)
+    @example(text='score,label\n0.5,1\n0.25,0\n0.5,1\n0.25,0\n"0.5",1\n', split_bytes=16, cpus=2,
+             block_bytes=4, bom=False, chunk_lines=65_536)
     @example(text="score,label\n0.5,1\n0.25,0\n0.5,1\n0.25,0\n0.5,maybe\n0.5,1\n", split_bytes=16, cpus=3,
-             block_bytes=8, bom=False)
+             block_bytes=8, bom=False, chunk_lines=65_536)
     # a second header line, and a line that begins with a BOM at the start of a range
-    @example(text="score,label\n0.5,1\n0.25,0\nscore,label\n0.5,1\n", split_bytes=16, cpus=2, block_bytes=8, bom=False)
-    @example(text="score,label\n0.5,1\n0.25,0\n\ufeff0.5,1\n0.25,0\n", split_bytes=16, cpus=2, block_bytes=8, bom=False)
+    @example(text="score,label\n0.5,1\n0.25,0\nscore,label\n0.5,1\n", split_bytes=16, cpus=2, block_bytes=8, bom=False,
+             chunk_lines=65_536)
+    @example(text="score,label\n0.5,1\n0.25,0\n\ufeff0.5,1\n0.25,0\n", split_bytes=16, cpus=2, block_bytes=8, bom=False,
+             chunk_lines=65_536)
     # blank lines, and a CRLF and lone CRs about the split points
-    @example(text="score,label\n0.5,1\n\n0.25,0\n\n0.5,1\n0.75,0\n", split_bytes=8, cpus=4, block_bytes=8, bom=False)
+    @example(text="score,label\n0.5,1\n\n0.25,0\n\n0.5,1\n0.75,0\n", split_bytes=8, cpus=4, block_bytes=8, bom=False,
+             chunk_lines=65_536)
     @example(text="score,label\r\n0.5,1\r\n0.25,0\r0.5,1\r\n0.75,0\r0.25,0\r", split_bytes=8, cpus=4, block_bytes=8,
-             bom=False)
+             bom=False, chunk_lines=65_536)
     # a header over many lines, whose last lines lie past the first split point
-    @example(text='"score' + "\n" * 10 + '",label\n0.5,1\n0.25,0\n', split_bytes=4, cpus=4, block_bytes=2, bom=False)
-    @example(text="score,label\n0.5,1\n0.25,0\n0.5,1\n0.25,0\n", split_bytes=16, cpus=2, block_bytes=8, bom=True)
-    def test_a_split_read_agrees_with_a_serial_read(self, scored_path, text, split_bytes, cpus, block_bytes, bom):
+    @example(text='"score' + "\n" * 10 + '",label\n0.5,1\n0.25,0\n', split_bytes=4, cpus=4, block_bytes=2, bom=False,
+             chunk_lines=65_536)
+    @example(text="score,label\n0.5,1\n0.25,0\n0.5,1\n0.25,0\n", split_bytes=16, cpus=2, block_bytes=8, bom=True,
+             chunk_lines=65_536)
+    # no range reaches the cap of distinct lines, but the merged counts do
+    @example(text="score,label\n0.5,1\n0.5,1\n0.25,0\n0.75,0\n0.25,0\n", split_bytes=16, cpus=2, block_bytes=8,
+             bom=False, chunk_lines=3)
+    def test_a_split_read_agrees_with_a_serial_read(self, scored_path, text, split_bytes, cpus, block_bytes, bom,
+                                                    chunk_lines):
         scored_path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
         limit = csv.field_size_limit(24)
         try:
             # the oracle reads the headers scored_csv_texts() draws
             oracle = text.startswith(("score,label", '"score","label"'))
             expected = oracles.parse_scored_rows(io.StringIO(text, newline="")) if oracle else (None,)
-            with patch.object(confusion, "_SPLIT_BYTES", split_bytes), patch.object(confusion, "_BLOCK_BYTES", block_bytes):
+            with (patch.object(confusion, "_SPLIT_BYTES", split_bytes), patch.object(confusion, "_BLOCK_BYTES", block_bytes),
+                  patch.object(confusion, "_CHUNK_LINES", chunk_lines)):
                 serial = read_serially(scored_path)
                 with patch.object(confusion, "_cpus", lambda: cpus):
                     split = outcome(read_scored_csv, scored_path)
@@ -502,11 +475,11 @@ class TestSplitRead:
         path = tmp_path / "scores.csv"
         _, *rows = DEMO_CSV.read_text().splitlines()
         path.write_bytes((bom + end.join([header, *rows * 3]) + end).encode())
-        # the reader that checks every line when first counted in a chunk must not run
         with (patch.object(confusion, "_SPLIT_BYTES", 1024), patch.object(confusion, "_cpus", lambda: 4),
-              patch.object(confusion, "_parse", side_effect=AssertionError("read serially")),
+              patch.object(confusion, "_byte_lines", wraps=confusion._byte_lines) as split,
               patch.object(confusion, "_sample", wraps=confusion._sample) as check):
             samples = read_scored_csv(path)
+        assert split.call_count == 1  # this process counted its own range and did not read the file again
         assert check.call_count == len(set(rows))
         assert samples == samples_from(demo_pairs * 3)
         assert_no_child_left()

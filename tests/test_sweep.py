@@ -26,7 +26,7 @@ from p4metrics import (
 from p4metrics import confusion, csvio, sweep
 from p4metrics.metrics import METRIC_NAMES
 from p4metrics.sweep import make_grid
-from conftest import DEMO_BEST, DEMO_COUNTS_AT_HALF, FIXTURES, NUMBER_SPELLINGS, samples_from, unit_floats
+from conftest import DEMO_BEST, DEMO_COUNTS_AT_HALF, FIXTURES, NUMBER_SPELLINGS, float_distance, samples_from, unit_floats
 import oracles
 
 SEPARABLE = samples_from([(0.9, True), (0.2, False)])
@@ -290,15 +290,6 @@ class TestPairedCurve:
 
 def format_value(value):
     return repr(value.value) if value.is_defined else "nan"
-
-
-def float_distance(matrix, y_name):
-    """The matrix's float distance to (1, 1), or None with an undefined coordinate."""
-    report = evaluate_all(matrix)
-    x, y = report.mcc_scaled, getattr(report, y_name)
-    if not (x.is_defined and y.is_defined):
-        return None
-    return math.hypot(1.0 - x.value, 1.0 - y.value)
 
 
 class TestOptimalThreshold:
