@@ -195,7 +195,8 @@ def classify_at_threshold(samples: ScoredSamples, tau: float) -> ConfusionMatrix
 # text lines a scored CSV is read by at a time, the number of counted lines that flushes them, and the number
 # of distinct lines at which a byte range being counted gives up, so that the file is read serially
 _CHUNK_LINES = 65_536
-_BLOCK_BYTES = 65_536  # bytes a scored-CSV file is read by at a time
+# bytes a scored-CSV file is read by at a time, small: a block's line list is the working set of either route
+_BLOCK_BYTES = 16_384
 _SPLIT_BYTES = 2 << 20  # the least bytes of a scored-CSV file worth counting in a range of its own
 
 _LABEL_ALIASES = {"1": True, "positive": True, "0": False, "negative": False}

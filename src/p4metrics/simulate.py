@@ -10,11 +10,9 @@ reference matrices C1..C4 bit-exactly.
 
 from __future__ import annotations
 
-from decimal import Decimal
-
 from .confusion import ConfusionMatrix, _Record
 from .errors import DegeneratePopulationError
-from .sweep import MetricSeries, make_grid
+from .sweep import MetricSeries, _decimal_ratio, make_grid
 
 
 class SimulationSpec(_Record):
@@ -37,7 +35,7 @@ def _round_half_up(rate: float, count: int) -> int:
     """round(rate * count), half away from zero, in integers on the decimal
     value of `rate` as written: the float product can land just below a half
     (0.57 * 1750 is 997.4999999999999) or lose a unit past 2**53."""
-    p, q = Decimal(str(rate)).as_integer_ratio()
+    p, q = _decimal_ratio(rate)
     return (2 * p * count + q) // (2 * q)
 
 

@@ -11,7 +11,6 @@ closest to the ideal corner (1, 1) in that plane.
 from __future__ import annotations
 
 import math
-from decimal import Decimal
 from itertools import groupby
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
@@ -71,6 +70,15 @@ class MetricSeries(_Record):
         self._set(key_column, keys, matrices, tuple(runs))
 
 
+def _decimal_ratio(x: float) -> tuple[int, int]:
+    """(p, q), unreduced, with q a power of ten and p / q the decimal value of
+    `str(x)`, read as `Decimal(str(x))` reads it: 0.35 gives (35, 100)."""
+    digits, _, exponent = str(x).partition("e")
+    whole, _, fraction = digits.partition(".")
+    e = int(exponent or 0) - len(fraction)
+    return (int(whole + fraction) * 10**max(e, 0), 10**max(-e, 0))
+
+
 def make_grid(tau0: float, tau_n: float, delta: float) -> tuple[float, ...]:
     """Grid tau0, tau0+delta, ... below tau_n, then tau_n itself.
 
@@ -82,7 +90,7 @@ def make_grid(tau0: float, tau_n: float, delta: float) -> tuple[float, ...]:
     if not 0.0 < delta < math.inf:
         raise BadGridError(f"delta must be positive and finite, got {delta!r}")
     check_grid("tau", (tau0, tau_n))
-    (a, p), (b, r), (d, s) = (Decimal(str(x)).as_integer_ratio() for x in (tau0, tau_n, delta))
+    (a, p), (b, r), (d, s) = map(_decimal_ratio, (tau0, tau_n, delta))
     q = math.lcm(p, r, s)
     start, end, step = a * q // p, b * q // r, d * q // s
     below = -((start - end) // step)  # ceil((end - start) / step) keys lie below tau_n

@@ -128,7 +128,7 @@ class TestEval:
     @pytest.mark.parametrize("bad_row", [None, 150, 5000], ids=["good", "bad-row", "bad-row-after-cr"])
     def test_every_line_end_and_a_byte_order_mark_read_alike(self, capsys, tmp_path, bad_row):
         rows = DEMO_CSV.read_text().splitlines()
-        rows[1:] *= 40  # 8,000 rows in 120 KB, so over two 64 KiB blocks
+        rows[1:] *= 40  # 8,000 rows in 120 KB, so over eight 16 KiB blocks
         if bad_row is not None:
             rows[bad_row - 1] = "0.5,maybe"
         results = set()

@@ -34,4 +34,4 @@ def test_the_cli_starts_without_dataclasses_json_or_svg():
     assert done.returncode == 0, done.stderr
     loaded = done.stdout.split()
     assert "p4metrics.cli" in loaded
-    assert [name for name in ("dataclasses", "inspect", "json", "p4metrics.svg") if name in loaded] == []
+    assert [name for name in ("dataclasses", "decimal", "inspect", "json", "p4metrics.svg") if name in loaded] == []

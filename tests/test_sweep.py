@@ -3,9 +3,10 @@ import io
 import math
 import re
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from p4metrics import (
     BadGridError,
@@ -25,7 +26,7 @@ from p4metrics import (
 )
 from p4metrics import confusion, csvio, sweep
 from p4metrics.metrics import METRIC_NAMES
-from p4metrics.sweep import make_grid
+from p4metrics.sweep import _decimal_ratio, make_grid
 from conftest import DEMO_BEST, DEMO_COUNTS_AT_HALF, FIXTURES, NUMBER_SPELLINGS, float_distance, samples_from, unit_floats
 import oracles
 
@@ -108,6 +109,18 @@ class TestMakeGrid:
     def test_size_cap_admits_a_fine_grid(self):
         assert make_grid(0.0, 1.0, 0.0001) == tuple(i / 10_000 for i in range(10_001))
         assert len(make_grid(0.0, 1.0, 1e-5)) == sweep.MAX_GRID_SIZE
+
+    @given(st.floats(allow_nan=False, allow_infinity=False) | st.integers(min_value=0))
+    @example(-0.0)
+    @example(5e-324)
+    @example(1e-05)
+    @example(1e16)
+    @example(0.1)
+    @example(1 / 7)
+    def test_decimal_ratio_is_the_decimal_of_str(self, x):
+        p, q = _decimal_ratio(x)
+        assert Fraction(p, q) == Fraction(Decimal(str(x)))
+        assert str(q).rstrip("0") == "1"
 
     @settings(max_examples=200, deadline=None)
     @given(decimal_grids(), st.data())
