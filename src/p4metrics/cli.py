@@ -186,14 +186,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "simulate":
-        if args.kind == "balance" and args.tpr is None:
-            parser.error("simulate balance needs --tpr")
-        if args.kind == "tpr" and args.pos is None:
-            parser.error("simulate tpr needs --pos")
-        if args.kind == "balance" and args.pos is not None:
-            parser.error("simulate balance takes no --pos")
-        if args.kind == "tpr" and args.tpr is not None:
-            parser.error("simulate tpr takes no --tpr")
+        # the flag each kind needs, and the one it refuses
+        needs, refuses = {"balance": ("tpr", "pos"), "tpr": ("pos", "tpr")}[args.kind]
+        if getattr(args, needs) is None:
+            parser.error(f"simulate {args.kind} needs --{needs}")
+        if getattr(args, refuses) is not None:
+            parser.error(f"simulate {args.kind} takes no --{refuses}")
     try:
         # the chart goes beside --out, so --out must exist and must not be the chart
         if getattr(args, "svg", False) and (args.out is None or Path(args.out).suffix.lower() == ".svg"):

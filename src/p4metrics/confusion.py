@@ -192,8 +192,7 @@ def classify_at_threshold(samples: ScoredSamples, tau: float) -> ConfusionMatrix
     return samples.matrices_at((tau,))[0]
 
 
-# text lines a scored CSV is read by at a time, the number of counted lines that flushes them, and the number
-# of distinct lines at which a byte range being counted gives up, so that the file is read serially
+# text lines a scored CSV is read by at a time, and the number of counted lines that flushes them
 _CHUNK_LINES = 65_536
 # bytes a scored-CSV file is read by at a time, small: a block's line list is the working set of either route
 _BLOCK_BYTES = 16_384
@@ -227,15 +226,14 @@ def read_scored_csv(path: str | Path) -> ScoredSamples:
     held.  Parsing costs O(n) hashing plus O(D log D) for D distinct scores,
     memory O(D) plus a block; from a `"` on, each record is checked.
 
-    A regular file of at least 2 * `_SPLIT_BYTES` is first counted in byte
+    A regular file of at least 2 * `_SPLIT_BYTES` is first read in byte
     ranges split at line ends, one per CPU the process may run on, when
-    `os.fork` exists and no other thread runs: this process counts the first
-    range and one forked child each other range.  Children only count lines;
-    their merged counts, in file order, go to the same checker as one chunk,
-    so each distinct line is checked once.  A `"` in a data line, a bad line
-    or header, a range with `_CHUNK_LINES` distinct lines, or a child that
-    fails or cannot be started sends the whole file through the reader
-    above, so every result and error is the same.  No child outlives the call.
+    `os.fork` exists and no other thread runs: this process tallies the first
+    range and one forked child each other range, each by the same loop as the
+    reader above, and the tallies are added in file order.  A `"` in a data
+    line, a bad line or header, or a child that fails or cannot be started
+    sends the whole file through the reader above, so every result and error
+    is the same.  No child outlives the call.
     """
     with open(path, "rb") as fh:
         if len(bounds := _split_bounds(fh)) > 2:
@@ -306,9 +304,9 @@ def _split_bounds(fh) -> list[int]:
 
 
 def _read_ranges(path: str | Path, fh, bounds: list[int]) -> ScoredSamples | None:
-    """The samples of the file `fh` opened at `path`, counted by ranges between
-    `bounds`, the first here and each other in a forked child; None if it
-    must be read whole.  Every child is reaped before this returns."""
+    """The samples of the file `fh` opened at `path`, tallied by `_tally` in
+    ranges between `bounds`, the first here and each other in a forked child;
+    None if it must be read whole.  Every child is reaped before this returns."""
     children, fds = [], []  # (pid, pipe's read end) of each child not yet reaped, and fds to close
     try:
         for start, end in zip(bounds[1:], bounds[2:]):
@@ -318,11 +316,14 @@ def _read_ranges(path: str | Path, fh, bounds: list[int]) -> ScoredSamples | Non
             except OSError:  # no file or process to spare
                 return None
             if pid == 0:
-                _count_range(path, fh.fileno(), start, end, *fds[-2:])
+                _tally_range(path, fh.fileno(), start, end, *fds[-2:])
             children.append((pid, fds[-2]))
             os.close(fds.pop())
-        counts = _count(_byte_lines(fh, bounds[1]))
-        while counts is not None and children:
+        try:
+            tallies, rest, _ = _tally(_byte_lines(fh, bounds[1]), _decoded)
+        except SampleParseError:  # a bad line, or a header cut by the range's end
+            return None
+        while rest is None and children:
             pid, fd = children[0]
             with open(fd, "rb", closefd=False) as pipe:
                 data = pipe.read()
@@ -330,8 +331,9 @@ def _read_ranges(path: str | Path, fh, bounds: list[int]) -> ScoredSamples | Non
             del children[0]
             if status != 0:
                 return None
-            try:
-                counts.update(marshal.loads(data))
+            try:  # in file order, so that a score keeps the float the serial reader first sees (0.0 or -0.0)
+                for key, tally in marshal.loads(data).items():
+                    _add(tallies, tally.values(), zip(repeat(key), tally))
             except (EOFError, ValueError, TypeError):  # a result cut short
                 return None
     finally:
@@ -343,18 +345,14 @@ def _read_ranges(path: str | Path, fh, bounds: list[int]) -> ScoredSamples | Non
             for pid, _ in children:
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-    if counts is None or counts.pop(header := next(iter(counts))) != 1 or b'"' in b"".join(counts):
-        return None  # a second header line is a bad row, and a data line with a `"` is read record by record
-    try:  # the merged counts are one chunk, so a bad line's number would count distinct lines
-        return _parse(iter([[header], counts]), _decoded)
-    except SampleParseError:
-        return None
+    return ScoredSamples.from_tallies(tallies[True], tallies[False]) if rest is None else None
 
 
-def _count_range(path: str | Path, fd: int, start: int, end: int, read: int, write: int) -> NoReturn:
-    """In a forked child: write the counts of the lines between bytes `start`
-    and `end` of the file open as `fd` at `path` to the pipe, then exit 0;
-    exit 1 without them.  It never returns, runs no exit handler and flushes
+def _tally_range(path: str | Path, fd: int, start: int, end: int, read: int, write: int) -> NoReturn:
+    """In a forked child: write the tallies `_tally` gives of the lines between
+    bytes `start` and `end` of the file open as `fd` at `path`, after a
+    `score,label` header, to the pipe, then exit 0; exit 1 without them, for a
+    bad line or a `"` too.  It never returns, runs no exit handler and flushes
     no stream of its parent's."""
     code = 1
     try:
@@ -362,23 +360,13 @@ def _count_range(path: str | Path, fd: int, start: int, end: int, read: int, wri
         with open(path, "rb") as fh:  # its own offset: a forked file shares one
             if os.path.samestat(os.fstat(fh.fileno()), os.fstat(fd)):
                 fh.seek(start)
-                counts = _count(_byte_lines(fh, end - start, b""))
-                if counts is not None:
+                tallies, rest, _ = _tally(chain([[b"score,label\n"]], _byte_lines(fh, end - start, b"")), _decoded)
+                if rest is None:
                     with open(write, "wb") as pipe:
-                        marshal.dump(dict(counts), pipe)
+                        marshal.dump(tallies, pipe)
                     code = 0
     finally:
         os._exit(code)
-
-
-def _count(chunks: Iterable[list[bytes]]) -> Counter | None:
-    """The count of each line in `chunks`, in first-seen order; None once `_CHUNK_LINES` are distinct."""
-    counts = Counter()
-    for chunk in chunks:
-        counts.update(chunk)
-        if len(counts) >= _CHUNK_LINES:
-            return None
-    return counts
 
 
 def _header(reader) -> None:
@@ -393,8 +381,26 @@ def _header(reader) -> None:
         raise SampleParseError(1, f"expected header 'score,label', got {','.join(header)!r}")
 
 
-def _parse(chunks: Iterator[Iterable], decoded: Callable[[Iterable], Iterator[str]]) -> ScoredSamples:
-    """Scored samples from `chunks`, each a list or `Counter` of lines, which `decoded(lines)` gives as text."""
+def _parse(chunks: Iterator[list], decoded: Callable[[Iterable], Iterator[str]]) -> ScoredSamples:
+    """Scored samples from `chunks`, lists of lines which `decoded(lines)` gives as text."""
+    tallies, quoted, first_line = _tally(chunks, decoded)
+    reader, start = csv.reader(quoted or ()), first_line  # and the physical line the next record starts on
+    try:
+        for row in reader:
+            is_positive, score = _sample(row)
+            tallies[is_positive][score] = tallies[is_positive].get(score, 0) + 1
+            start = first_line + reader.line_num
+    except (ValueError, csv.Error) as exc:
+        raise SampleParseError(start, str(exc)) from None
+    return ScoredSamples.from_tallies(tallies[True], tallies[False])
+
+
+def _tally(chunks: Iterator[list], decoded: Callable[[Iterable], Iterator[str]]) -> tuple[dict, Iterator[str] | None, int]:
+    """Check the header of `chunks`, lists of lines which `decoded(lines)` gives
+    as text, and tally the lines after it, each distinct line checked once per
+    flush.  Return the score -> count tallies per class; the text, unread, from
+    the first chunk whose new lines hold a `"` on, or after a header over many
+    lines, else None; and the physical number of its first line."""
     chunk = next(chunks, [])
     reader = csv.reader(text := decoded(chain(chunk, chain.from_iterable(chunks))))
     _header(reader)
@@ -420,15 +426,7 @@ def _parse(chunks: Iterator[Iterable], decoded: Callable[[Iterable], Iterator[st
             counts, samples = Counter(), []
         first_line += len(chunk)
     _add(tallies, counts.values(), samples)
-    reader, start = csv.reader(quoted or ()), first_line  # and the physical line the next record starts on
-    try:
-        for row in reader:
-            is_positive, score = _sample(row)
-            tallies[is_positive][score] = tallies[is_positive].get(score, 0) + 1
-            start = first_line + reader.line_num
-    except (ValueError, csv.Error) as exc:
-        raise SampleParseError(start, str(exc)) from None
-    return ScoredSamples.from_tallies(tallies[True], tallies[False])
+    return tallies, quoted, first_line
 
 
 def _add(tallies: dict, counts: Iterable[int], samples: Iterable[tuple]) -> None:

@@ -411,8 +411,8 @@ def assert_no_child_left():
 
 
 class TestSplitRead:
-    """A large regular file is counted in byte ranges, the first in this process
-    and each other in a forked child, and checked once here."""
+    """A large regular file is tallied in byte ranges, the first in this process
+    and each other in a forked child, each by the serial reader's loop."""
 
     @settings(max_examples=300)
     @given(text=scored_csv_texts(), split_bytes=st.integers(min_value=1, max_value=64),
@@ -479,12 +479,28 @@ class TestSplitRead:
               patch.object(confusion, "_byte_lines", wraps=confusion._byte_lines) as split,
               patch.object(confusion, "_sample", wraps=confusion._sample) as check):
             samples = read_scored_csv(path)
-        assert split.call_count == 1  # this process counted its own range and did not read the file again
-        assert check.call_count == len(set(rows))
+            with open(path, "rb") as fh:
+                first_range = fh.read(confusion._split_bounds(fh)[1])
+        _, *own_rows = first_range.decode().removeprefix(bom).splitlines()
+        assert split.call_count == 1  # this process tallied its own range and did not read the file again
+        assert check.call_count == len(set(own_rows))  # each child checks the lines of its own range
         assert samples == samples_from(demo_pairs * 3)
         assert_no_child_left()
 
-    # with 512-byte ranges the demo's 3,012 bytes are counted in 3 ranges, so
+    def test_a_split_file_flushed_many_times_is_not_read_again(self, demo_pairs, tmp_path):
+        # 64-byte blocks and a flush at every 2 distinct lines: every range flushes its counts many times
+        path = tmp_path / "scores.csv"
+        _, *rows = DEMO_CSV.read_text().splitlines(keepends=True)
+        path.write_text("".join(["score,label\n", *rows * 3]))
+        with (patch.object(confusion, "_SPLIT_BYTES", 1024), patch.object(confusion, "_cpus", lambda: 4),
+              patch.object(confusion, "_CHUNK_LINES", 2), patch.object(confusion, "_BLOCK_BYTES", 64)):
+            with patch.object(confusion, "_byte_lines", wraps=confusion._byte_lines) as split:
+                samples = read_scored_csv(path)
+            assert split.call_count == 1
+            assert ("ok", samples) == read_serially(path) == ("ok", samples_from(demo_pairs * 3))
+        assert_no_child_left()
+
+    # with 512-byte ranges the demo's 3,012 bytes are read in 3 ranges, so
     # line 11 lies in this process's range and line 150 in the last child's
     @pytest.mark.parametrize("case", [
         "good", "bad-row-while-a-child-counts", "bad-row-in-a-child", "child-killed", "child-fails-after-writing",
@@ -501,17 +517,16 @@ class TestSplitRead:
             "bad-row-while-a-child-counts": lambda: time.sleep(0.2),
             "child-killed": lambda: os.kill(os.getpid(), signal.SIGKILL),
             "child-fails-after-writing": lambda: setattr(confusion, "marshal", WritesThenFails),
-            "too-many-distinct-lines": lambda: time.sleep(60),
             "interrupt": lambda: time.sleep(60),
         }.get(case, lambda: None)
-        parent, count, fork, forks = os.getpid(), confusion._count, os.fork, []
+        parent, tally, fork, forks = os.getpid(), confusion._tally, os.fork, []
 
-        def counted(chunks):
+        def tallied(chunks, decoded):
             if os.getpid() != parent:
                 in_child()
             elif case == "interrupt":
                 raise KeyboardInterrupt
-            return count(chunks)
+            return tally(chunks, decoded)
 
         def forked():
             forks.append(None)
@@ -521,9 +536,9 @@ class TestSplitRead:
 
         monkeypatch.setattr(confusion, "_SPLIT_BYTES", 512)
         monkeypatch.setattr(confusion, "_cpus", lambda: 3)
-        monkeypatch.setattr(confusion, "_count", counted)
+        monkeypatch.setattr(confusion, "_tally", tallied)
         monkeypatch.setattr(os, "fork", forked)
-        if case == "too-many-distinct-lines":
+        if case == "too-many-distinct-lines":  # each range flushes its counts, as the serial reader does
             monkeypatch.setattr(confusion, "_CHUNK_LINES", 40)
         start = time.perf_counter()
         if case == "interrupt":
