@@ -68,7 +68,7 @@ def cmd_eval(args) -> None:
     if args.format == "table":
         _emit(lambda stream: print(_counts_line(row), "", *_table_rows(row), sep="\n", file=stream), args.out)
     elif args.format == "csv":
-        _emit(lambda stream: csvio.write_rows(stream, [("", row)], None), args.out)
+        _emit(lambda stream: csvio.write_rows(stream, [(("",), row)], None), args.out)
     else:
         import json  # only --format json needs it, so the CLI starts without it
         _emit(lambda stream: print(json.dumps(_json_record(row), indent=2), file=stream), args.out)
@@ -80,7 +80,7 @@ def cmd_cases(args) -> None:
         blocks = ["\n".join([f"{name}  {_counts_line(row)}"] + _table_rows(row, "  ")) for name, row in rows]
         _emit(lambda stream: print(*blocks, sep="\n\n", file=stream), args.out)
     elif args.format == "csv":
-        _emit(lambda stream: csvio.write_rows(stream, rows, "case"), args.out)
+        _emit(lambda stream: csvio.write_rows(stream, [((name,), row) for name, row in rows], "case"), args.out)
     else:
         import json  # only --format json needs it, so the CLI starts without it
         records = [{"case": name, **_json_record(row)} for name, row in rows]

@@ -1,8 +1,9 @@
 """Confusion-matrix construction, label swapping, and thresholded classification.
 
 Counts are exact non-negative integers throughout; nothing here ever touches
-floating point except the sample scores themselves.  All values are immutable
-and all operations are pure functions.
+floating point except the sample scores themselves.  All values are immutable,
+and construction, label swapping and classification are pure functions;
+`read_scored_csv` and its helpers read files, and may fork to read one.
 """
 
 from __future__ import annotations
@@ -256,16 +257,18 @@ def _decoded(lines: Iterable[bytes]) -> Iterator[str]:
 
 
 def _byte_lines(fh, size: float = math.inf, bom: bytes = b"\xef\xbb\xbf") -> Iterator[list[bytes]]:
-    """The lines of the next `size` bytes of binary `fh`, less a leading `bom`:
-    a non-empty list per block that ends a line, then the rest."""
+    """The lines of the next `size` bytes of binary `fh`, less a leading `bom`: a non-empty list
+    per block that ends a line or carries one longer than any record's, cut there; then the rest."""
+    longest = 8 * csv.field_size_limit() + 3  # a record's line at most: 2 fields of 4-byte characters, a comma, a CRLF
     head = fh.read(min(len(bom), size))
     parts, size = [head.removeprefix(bom)], size - len(head)  # the blocks since the last line end, joined once one is read
     while block := fh.read(min(_BLOCK_BYTES, size)):
         parts.append(block)
         size -= len(block)
-        if b"\n" in block or b"\r" in block:
+        if b"\n" in block or b"\r" in block or sum(map(len, parts)) > longest:
             lines = b"".join(parts).splitlines(keepends=True)
-            parts = [] if lines[-1].endswith(b"\n") else [lines.pop()]  # no end yet, or a CR that may begin a CRLF
+            # keep a line with no end yet, or a CR that may begin a CRLF, unless it is too long to be a record's
+            parts = [] if lines[-1].endswith(b"\n") or len(lines[-1]) > longest else [lines.pop()]
             if lines:
                 yield lines
     yield b"".join(parts).splitlines(keepends=True)

@@ -34,13 +34,14 @@ def cells(values: Iterable) -> list[str]:
     return ["nan" if value is None else repr(value) for value in values]
 
 
-def write_rows(out: TextIO, rows: Iterable[tuple[str, tuple]], key_column: str | None) -> None:
-    """Write (key, `row` values) rows; `key_column` of None drops the key."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(COLUMNS if key_column is None else (key_column, *COLUMNS))
-    for key, values in rows:
-        line = cells(values)
-        writer.writerow(line if key_column is None else [key, *line])
+def write_rows(out: TextIO, runs: Iterable[tuple[Iterable[str], tuple]], key_column: str | None) -> None:
+    """Write the header, then a line per key of each (keys, `row` values) run, each run's cells formatted
+    once.  Keys are written as given, unquoted; a `key_column` of None drops the column, its keys ''."""
+    out.write(",".join(COLUMNS if key_column is None else (key_column, *COLUMNS)) + "\n")
+    comma = "" if key_column is None else ","  # after each key
+    for keys, values in runs:
+        line = comma + ",".join(cells(values))
+        out.writelines(f"{key}{line}\n" for key in keys)
 
 
 def _parse_cell(name: str, text: str, line_no: int, parse: Callable[[str], object] = _parse_number):

@@ -170,5 +170,4 @@ DISPLAY_NAMES = {name: name.upper().replace("_SCALED", "'") for name in METRIC_N
 
 def evaluate_all(c: ConfusionMatrix) -> MetricReport:
     """Compute the full MetricReport for one matrix."""
-    values = _closed_forms(c.tp, c.fp, c.fn, c.tn)
-    return MetricReport(*map(MetricValue, values, METRIC_RANGES.values()))
+    return MetricReport(*_metrics(c, *METRIC_NAMES))

@@ -146,12 +146,9 @@ def optimal_threshold(series: MetricSeries, y_metric: str) -> OptimalThreshold:
 
 
 def write_curve_csv(series: MetricSeries, out: TextIO) -> None:
-    """Write a series in the standard metrics CSV layout, keyed by its key
-    column; each run's cells are formatted once."""
-    out.write(",".join((series.key_column, *csvio.COLUMNS)) + "\n")
-    for start, end, row in series.runs:
-        cells = ",".join(csvio.cells(row))
-        out.writelines(f"{key!r},{cells}\n" for key in series.keys[start:end])
+    """Write a series in the standard metrics CSV layout, keyed by its key column."""
+    runs = ((map(repr, series.keys[start:end]), row) for start, end, row in series.runs)
+    csvio.write_rows(out, runs, series.key_column)
 
 
 def read_curve_csv(path: str | Path) -> MetricSeries:

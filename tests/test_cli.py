@@ -533,10 +533,11 @@ def test_python_m_runs_the_cli(capsys):
     assert done.stdout == (FIXTURES / "golden" / "eval_demo.json").read_bytes()
 
 
-def peak_rss_mb(*argv):
-    """Peak RSS in MiB of `python -m p4metrics *argv`, from `os.wait4` in a small
-    child that starts it: Linux counts the resident size of the process a child
-    is forked from, up to its exec, in the child's `ru_maxrss`."""
+def peak_rss_mb(*argv, code=0):
+    """Peak RSS in MiB of `python -m p4metrics *argv`, which must exit with `code`,
+    from `os.wait4` in a small child that starts it: Linux counts the resident
+    size of the process a child is forked from, up to its exec, in the child's
+    `ru_maxrss`."""
     script = (
         "import os, subprocess, sys\n"
         "_, status, usage = os.wait4(subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL).pid, 0)\n"
@@ -544,8 +545,8 @@ def peak_rss_mb(*argv):
     )
     done = subprocess.run([sys.executable, "-c", script, sys.executable, "-m", "p4metrics", *argv],
                           capture_output=True, text=True, env=child_env())
-    code, rss_mb = done.stdout.split()
-    assert code == "0", done.stderr
+    status, rss_mb = done.stdout.split()
+    assert status == str(code), done.stderr
     return float(rss_mb)
 
 
@@ -568,6 +569,21 @@ def test_a_late_switch_to_lone_cr_line_ends_costs_no_memory(tmp_path):
     base = peak_rss_mb("eval", "--file", str(lf))
     peak = peak_rss_mb("eval", "--file", str(late_cr))
     assert peak - base < 1, (base, peak)
+
+
+def test_a_line_with_no_end_costs_no_memory(tmp_path):
+    # line 3 holds 100 MB and never ends; it is named once it is longer than any record's line
+    path = tmp_path / "endless.csv"
+    with open(path, "wb") as fh:
+        fh.write(b"score,label\n0.5,1\n")
+        for _ in range(100):
+            fh.write(b"0" * 10**6)
+    base = peak_rss_mb("eval", "--file", str(DEMO_CSV))
+    peak = peak_rss_mb("eval", "--file", str(path), code=2)
+    assert peak - base < 8, (base, peak)
+    done = python_m("eval", "--file", str(path))
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"p4metrics: error: line 3: field larger than field limit (131072)\n"
 
 
 def test_python_m_exits_2_on_one_line():

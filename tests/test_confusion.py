@@ -349,6 +349,25 @@ class TestScoredCsv:
                 read_scored_csv(path)
             assert time.perf_counter() - start < 1
 
+    def test_an_endless_line_is_named_before_memory_runs_out(self):
+        class EndlessLine:
+            """Two lines, then a line of zeros that never ends; more than 64 MiB read fails the test."""
+
+            def __init__(self):
+                self.head, self.given = b"score,label\n0.5,1\n", 0
+
+            def read(self, size):
+                self.given += size
+                if self.given > 64 << 20:
+                    pytest.fail("read 64 MiB of one line")
+                data, self.head = (self.head or b"0" * size)[:size], self.head[size:]
+                return data
+
+        start = time.perf_counter()
+        with pytest.raises(SampleParseError, match=r"^line 3: field larger than field limit \(131072\)$"):
+            confusion._parse(confusion._byte_lines(EndlessLine()), confusion._decoded)
+        assert time.perf_counter() - start < 1
+
     @pytest.mark.parametrize("header", ["score," + "x" * 200_000, '"score\n' + "x" * 200_000 + '",label'],
                              ids=["one-line", "two-line"])
     def test_an_oversized_header_is_named_by_line_1(self, header):
@@ -403,6 +422,14 @@ class WritesThenFails:
     def dump(value, file):
         file.write(marshal.dumps({}))
         raise OSError("failed after writing")
+
+
+class WritesAllButTheLastByte:
+    """A `marshal` for a child that writes its result less the last byte, then exits 0."""
+
+    @staticmethod
+    def dump(value, file):
+        file.write(marshal.dumps(value)[:-1])
 
 
 def assert_no_child_left():
@@ -504,7 +531,7 @@ class TestSplitRead:
     # line 11 lies in this process's range and line 150 in the last child's
     @pytest.mark.parametrize("case", [
         "good", "bad-row-while-a-child-counts", "bad-row-in-a-child", "child-killed", "child-fails-after-writing",
-        "too-many-distinct-lines", "interrupt", "fork-fails",
+        "child-result-cut-short", "too-many-distinct-lines", "interrupt", "fork-fails",
     ])
     def test_no_child_outlives_the_read(self, tmp_path, capfd, monkeypatch, case):
         rows = DEMO_CSV.read_text().splitlines(keepends=True)
@@ -517,6 +544,7 @@ class TestSplitRead:
             "bad-row-while-a-child-counts": lambda: time.sleep(0.2),
             "child-killed": lambda: os.kill(os.getpid(), signal.SIGKILL),
             "child-fails-after-writing": lambda: setattr(confusion, "marshal", WritesThenFails),
+            "child-result-cut-short": lambda: setattr(confusion, "marshal", WritesAllButTheLastByte),
             "interrupt": lambda: time.sleep(60),
         }.get(case, lambda: None)
         parent, tally, fork, forks = os.getpid(), confusion._tally, os.fork, []

@@ -4,6 +4,7 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -386,19 +387,26 @@ class TestCurveCsv:
         for got, expected in zip(written, lines):
             assert got == expected
 
+    # the keys callers write: case names, and the reprs of series keys
     @settings(max_examples=200)
-    @given(st.lists(st.tuples(st.text(alphabet=',"\r\n a1', max_size=5), st.booleans()), max_size=6))
-    def test_key_cells_are_written_as_csv_writer_writes_them(self, rows):
+    @given(st.lists(st.tuples(st.lists(st.sampled_from(("C1", "C2", "C3", "C4"))
+                                       | st.builds(repr, st.sampled_from((-0.0, 5e-324, 1e-05)) | unit_floats),
+                                       max_size=4),
+                              st.booleans()), max_size=6))
+    @example([(["-0.0", "5e-324", "1e-05"], False), (["C1"], True)])
+    def test_key_cells_are_written_as_csv_writer_writes_them(self, runs):
         matrices = (ConfusionMatrix(1, 2, 3, 4), ConfusionMatrix(0, 0, 5, 5))
-        rows = [(key, matrices[second]) for key, second in rows]
+        runs = [(keys, matrices[second]) for keys, second in runs]
         buffer = io.StringIO()
-        csvio.write_rows(buffer, [(key, csvio.row(matrix)) for key, matrix in rows], key_column="case")
+        with patch.object(csvio, "cells", wraps=csvio.cells) as formatted:
+            csvio.write_rows(buffer, [(keys, csvio.row(matrix)) for keys, matrix in runs], key_column="case")
+        assert formatted.call_count == len(runs)  # once per run, however many keys it has
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(("case", *csvio.COUNT_COLUMNS, *METRIC_NAMES))
-        for key, matrix in rows:
-            values = map(format_value, evaluate_all(matrix).as_dict().values())
-            writer.writerow((key, matrix.tp, matrix.fp, matrix.fn, matrix.tn, *values))
+        for keys, matrix in runs:
+            values = [*map(format_value, evaluate_all(matrix).as_dict().values())]
+            writer.writerows((key, matrix.tp, matrix.fp, matrix.fn, matrix.tn, *values) for key in keys)
         assert buffer.getvalue() == expected.getvalue()
 
     def test_read_back_curve_shares_points_like_the_sweep(self, demo_samples, tmp_path):
@@ -462,7 +470,7 @@ class TestCurveCsv:
     def test_case_keyed_csv_rejected(self, tmp_path):
         path = tmp_path / "cases.csv"
         with open(path, "w") as fh:
-            csvio.write_rows(fh, [("C1", csvio.row(ConfusionMatrix(1, 2, 3, 4)))], key_column="case")
+            csvio.write_rows(fh, [(("C1",), csvio.row(ConfusionMatrix(1, 2, 3, 4)))], key_column="case")
         with pytest.raises(CsvFormatError, match="^line 2: bad value 'C1' for case$"):
             read_curve_csv(path)
 
@@ -475,18 +483,17 @@ class TestCurveCsv:
         values = csvio.row(ConfusionMatrix(1, 2, 3, 4))
         path = tmp_path / "cases.csv"
         with open(path, "w") as fh:
-            csvio.write_rows(fh, [(key, values) for key in keys], key_column=key_column)
+            csvio.write_rows(fh, [(keys, values)], key_column=key_column)
         message = rf"^expected a key column out of \('tau', 'pos_fraction', 'tpr'\), got {key_column!r}$"
         with pytest.raises(CsvFormatError, match=message):
             read_curve_csv(path)
 
     def test_quoted_newline_keeps_physical_line_numbers(self, tmp_path):
-        matrix = ConfusionMatrix(1, 2, 3, 4)
+        header = ",".join(("case", *csvio.COLUMNS))
+        cells = ",".join(csvio.cells(csvio.row(ConfusionMatrix(1, 2, 3, 4))))
         path = tmp_path / "cases.csv"
-        with open(path, "w", newline="") as fh:
-            # the key "C\n1" is quoted across lines 2-3, so the bad row is on line 4
-            csvio.write_rows(fh, [("C\n1", csvio.row(matrix))], key_column="case")
-            fh.write("C2,1\n")
+        # the key "C\n1" is quoted across lines 2-3, so the bad row is on line 4
+        path.write_bytes(f'{header}\n"C\n1",{cells}\nC2,1\n'.encode())
         assert path.read_text().split("\n")[3] == "C2,1"
         with pytest.raises(CsvFormatError, match="line 4: expected"):
             csvio.read_rows(path)
@@ -585,7 +592,7 @@ class TestCurveCsv:
     def test_rows_reader_rejects_counts_that_are_not_integers(self, tmp_path):
         path = tmp_path / "rows.csv"
         with open(path, "w") as fh:
-            csvio.write_rows(fh, [("C1", csvio.row(ConfusionMatrix(1, 2, 3, 4)))], key_column="case")
+            csvio.write_rows(fh, [(("C1",), csvio.row(ConfusionMatrix(1, 2, 3, 4)))], key_column="case")
         path.write_text(path.read_text().replace("C1,1,2,", "C1,1.5,2,"))
         with pytest.raises(CsvFormatError, match=r"^line 2: bad counts \['1.5', '2', '3', '4'\]$"):
             csvio.read_rows(path)

@@ -4,6 +4,7 @@ pattern, and they copy and pickle."""
 
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -98,3 +99,17 @@ def test_a_matrix_is_not_its_tuple_and_reprs_its_fields():
     assert repr(MetricSeries("tpr", (0.5,), (ConfusionMatrix(1, 0, 0, 0),))) == (
         "MetricSeries(key_column='tpr', keys=(0.5,), matrices=(ConfusionMatrix(tp=1, fp=0, fn=0, tn=0),))"
     )
+
+
+# too few or too many fields, a field that is not one, and a field given twice
+@pytest.mark.parametrize("name, build", [
+    ("OptimalThreshold", lambda: OptimalThreshold(0.5, 0.1)),
+    ("OptimalThreshold", lambda: OptimalThreshold(0.5, 0.1, "mcc-f1", 1)),
+    ("OptimalThreshold", lambda: OptimalThreshold(tau=0.5, distance=0.1, pair="mcc-f1")),
+    ("OptimalThreshold", lambda: OptimalThreshold(0.5, tau=0.5, distance=0.1)),
+    ("MetricReport", lambda: MetricReport(*[MetricValue(None)] * 11)),
+], ids=["too-few", "too-many", "unknown-keyword", "twice", "report-too-few"])
+def test_a_record_built_from_wrong_fields_names_its_fields(name, build):
+    message = f"{name}() takes the fields {', '.join(MATCH_ARGS[name])}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        build()
