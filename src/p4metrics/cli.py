@@ -41,7 +41,7 @@ def _json_record(row: tuple) -> dict:
 
 def _emit(write: Callable[[TextIO], None], out: str | None) -> None:
     """Call `write` on stdout, or else on the `out` file as it is written; a
-    failed write removes `out`, but a failure to open it removes nothing."""
+    failed write removes `out` if it is a regular file, and a failure to open it removes nothing."""
     if out is None:
         return write(sys.stdout)
     stream = open(out, "w")
@@ -49,7 +49,8 @@ def _emit(write: Callable[[TextIO], None], out: str | None) -> None:
         with stream:
             write(stream)
     except BaseException:
-        Path(out).unlink(missing_ok=True)
+        if Path(out).is_file():  # never a pipe or a device
+            Path(out).unlink(missing_ok=True)
         raise
 
 

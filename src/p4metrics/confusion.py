@@ -256,10 +256,10 @@ def _decoded(lines: Iterable[bytes]) -> Iterator[str]:
     return map(bytes.decode, lines, repeat("utf-8"), repeat("surrogateescape"))
 
 
-def _byte_lines(fh, size: float = math.inf, bom: bytes = b"\xef\xbb\xbf") -> Iterator[list[bytes]]:
-    """The lines of the next `size` bytes of binary `fh`, less a leading `bom`: a non-empty list
-    per block that ends a line or carries one longer than any record's, cut there; then the rest."""
-    longest = 8 * csv.field_size_limit() + 3  # a record's line at most: 2 fields of 4-byte characters, a comma, a CRLF
+def _byte_lines(fh, size: float = math.inf, bom: bytes = b"\xef\xbb\xbf", fields: int = 2) -> Iterator[list[bytes]]:
+    """The lines of the next `size` bytes of binary `fh`, less a leading `bom`: a non-empty list per block
+    that ends a line or carries one longer than a record of `fields` fields can be, cut there; then the rest."""
+    longest = fields * (4 * csv.field_size_limit() + 1) + 1  # fields of 4-byte characters, commas between, a CRLF
     head = fh.read(min(len(bom), size))
     parts, size = [head.removeprefix(bom)], size - len(head)  # the blocks since the last line end, joined once one is read
     while block := fh.read(min(_BLOCK_BYTES, size)):

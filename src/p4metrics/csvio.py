@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
-from .confusion import ConfusionMatrix, _parse_number
+from .confusion import ConfusionMatrix, _byte_lines, _decoded, _parse_number
 from .errors import CsvFormatError, EmptyMatrixError, NegativeCountError
 from .metrics import METRIC_NAMES, _closed_forms
 
@@ -56,7 +57,7 @@ def read_rows(path: str | Path) -> tuple[str | None, list[tuple[str, ConfusionMa
 
     The header must end with the count and metric columns in layout order; at
     most one extra leading column is allowed and becomes the row key (kept as
-    its string form).  A leading UTF-8 byte order mark is skipped.
+    its string form).  Its bytes become lines as `read_scored_csv`'s do, less a BOM.
     """
     return _read_rows(path, _utf8)
 
@@ -70,8 +71,8 @@ def _read_rows(path: str | Path, parse_key: Callable[[str], object]) -> tuple[st
     """(key_column, rows) of (key, matrix, `row` values), with each key cell
     passed through `parse_key` and each metric cell checked against `row`."""
     expected = list(COLUMNS)
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        reader = csv.reader(_decoded(chain.from_iterable(_byte_lines(fh, fields=len(expected) + 1))))
         end = 0  # the last physical line of the record before; a record may span lines
         try:
             try:

@@ -152,8 +152,8 @@ def write_curve_csv(series: MetricSeries, out: TextIO) -> None:
 
 
 def read_curve_csv(path: str | Path) -> MetricSeries:
-    """Read a series CSV written by `write_curve_csv` back, losslessly; each
-    metric cell must be the value its counts give."""
+    """Read a series CSV written by `write_curve_csv` back, losslessly, as
+    `csvio.read_rows` reads it; each metric cell must be the value its counts give."""
     key_column, rows = csvio._read_rows(path, _parse_number)
     if key_column not in KEY_COLUMNS:
         raise CsvFormatError(f"expected a key column out of {tuple(KEY_COLUMNS)}, got {key_column!r}")

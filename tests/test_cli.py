@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from unittest.mock import patch
 
@@ -427,6 +428,25 @@ def test_an_out_that_cannot_be_opened_exits_2_and_removes_nothing(capsys, tmp_pa
     assert err.startswith("p4metrics: error: ") and err.count("\n") == 1
     assert (out / "kept.txt").read_text() == "kept\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["X.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_write_that_fails_into_a_fifo_keeps_the_fifo(capsys, tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def read_some():  # then close, so that the rest of the 1.7 MB curve meets a broken pipe
+        with open(fifo, "rb") as fh:
+            fh.read(100)
+
+    reader = threading.Thread(target=read_some, daemon=True)
+    reader.start()
+    rc, stdout, err = run_cli(capsys, "sweep", "--file", str(DEMO_CSV), "--delta", "0.0001", "--out", str(fifo))
+    reader.join(timeout=10)
+    assert rc == 2
+    assert stdout == ""
+    assert err.startswith("p4metrics: error: ") and err.count("\n") == 1
+    assert fifo.is_fifo()
 
 
 @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()], ids=["os-error", "interrupt"])

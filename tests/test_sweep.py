@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from unittest.mock import patch
@@ -568,14 +569,45 @@ class TestCurveCsv:
         with pytest.raises(BadGridError, match="^empty grid$"):
             read_curve_csv(path)
 
-    def test_a_byte_order_mark_is_skipped(self, tmp_path):
-        curve = threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5)
+    # 226,041 bytes, about 14 blocks of 16 KiB; the late-cr file ends its first 500 lines (109 KB) in LF and the rest in CR
+    @pytest.mark.parametrize("read", [read_curve_csv, csvio.read_rows], ids=["curve", "rows"])
+    @pytest.mark.parametrize("form", ["lf", "crlf", "cr", "late-cr", "bom"])
+    def test_a_byte_order_mark_is_skipped(self, demo_samples, tmp_path, read, form):
+        curve = threshold_sweep(demo_samples, delta=0.001)
         buffer = io.StringIO()
         write_curve_csv(curve, buffer)
+        lines = buffer.getvalue().splitlines()
+        text = {
+            "lf": "\n".join(lines) + "\n",
+            "crlf": "\r\n".join(lines) + "\r\n",
+            "cr": "\r".join(lines) + "\r",
+            "late-cr": "\n".join(lines[:500]) + "\n" + "\r".join(lines[500:]) + "\r",
+            "bom": "\ufeff" + "\n".join(lines) + "\n",
+        }[form]
+        lf_path, path = tmp_path / "lf.csv", tmp_path / "curve.csv"
+        lf_path.write_bytes(buffer.getvalue().encode())
+        path.write_bytes(text.encode())
+        assert len(lf_path.read_bytes()) == 226_041
+        assert path.read_bytes().startswith(b"\xef\xbb\xbftau," if form == "bom" else b"tau,")
+        result = read(path)
+        assert result == read(lf_path)
+        if read is read_curve_csv:
+            assert result == curve
+
+    @pytest.mark.parametrize("read", [read_curve_csv, csvio.read_rows], ids=["curve", "rows"])
+    def test_a_line_with_no_end_is_not_held_whole(self, tmp_path, read):
         path = tmp_path / "curve.csv"
-        path.write_text(buffer.getvalue(), encoding="utf-8-sig")
-        assert path.read_bytes().startswith(b"\xef\xbb\xbftau,")
-        assert read_curve_csv(path) == curve
+        path.write_text(",".join(("tau", *csvio.COLUMNS)) + "\n0.5," + "0" * (1 << 20))
+        limit = csv.field_size_limit(24)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CsvFormatError, match=r"^line 2: field larger than field limit \(24\)$"):
+                read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            csv.field_size_limit(limit)
+        assert peak < 256 << 10  # a block and its lines, not the 1 MiB line
 
     def test_rows_reader_rejects_an_empty_file(self, tmp_path):
         path = tmp_path / "rows.csv"
