@@ -91,12 +91,12 @@ def cmd_cases(args) -> None:
 def _chart_points(series: sweep.MetricSeries, x: str | None, y: str) -> tuple[tuple[float, float], ...]:
     """(x, y) of one chart curve, with y a metric and nan for Undefined: one point
     per key when x is None, standing for the key, else one per run."""
-    def cell(row: tuple, name: str) -> float:
-        value = row[csvio.COLUMNS.index(name)]
-        return math.nan if value is None else value
+    def cell(row: tuple, index: int) -> float:
+        return math.nan if row[index] is None else row[index]
+    x_at, y_at = (name and csvio.COLUMNS.index(name) for name in (x, y))  # looked up once per curve
     if x is None:
-        return tuple((key, cell(row, y)) for start, end, row in series.runs for key in series.keys[start:end])
-    return tuple((cell(row, x), cell(row, y)) for _, _, row in series.runs)
+        return tuple((key, cell(row, y_at)) for start, end, row in series.runs for key in series.keys[start:end])
+    return tuple((cell(row, x_at), cell(row, y_at)) for _, _, row in series.runs)
 
 
 def _emit_series(series: sweep.MetricSeries, args, lines, title: str, x_label: str, y_label: str) -> None:

@@ -158,28 +158,28 @@ class ScoredSamples(_Record):
     def __len__(self) -> int:
         return self.positive_cumulative[-1] + self.negative_cumulative[-1]
 
-    def matrices_at(self, taus: Iterable[float]) -> tuple[ConfusionMatrix, ...]:
-        """One matrix per tau of the ascending `taus`, calling a sample positive
-        iff score > tau; taus out of order raise ValueError.  A matrix changes
-        only at a score, so the walk counts once per run of equal matrices, by
-        three bisects: one per class for the counts at the run's first tau, and
-        one for the run's end.  R <= min(D + 1, G) runs for D distinct scores
-        and G taus cost O(R log DG), plus O(G) list work."""
-        taus = list(taus)
+    def runs_at(self, taus: Sequence[float]) -> Iterator[tuple[int, int, tuple[int, int, int, int]]]:
+        """(first index, end index, (tp, fp, fn, tn)) per run of equal counts along the ascending `taus`,
+        a sample positive iff score > tau; taus out of order raise ValueError.  Counts change only at a
+        score, so neighbouring runs differ, and a run costs three bisects: one per class for its counts,
+        one for its end.  R <= min(D + 1, G) runs for D distinct scores and G taus cost O(R log DG)."""
         if not all(map(operator.le, taus, taus[1:])):  # a NaN among taus fails too
             raise ValueError("taus must ascend")
         pos, neg = self.positive_scores, self.negative_scores
-        matrices, i = [], 0
+        i = 0
         while i < len(taus):
             p, q = bisect_right(pos, taus[i]), bisect_right(neg, taus[i])
             fn, tn = self.positive_cumulative[p], self.negative_cumulative[q]
-            matrix = ConfusionMatrix(self.positive_cumulative[-1] - fn, self.negative_cumulative[-1] - tn, fn, tn)
             # the run ends before the first tau at or above the lowest score above its own tau
             lowest = min(pos[p] if p < len(pos) else math.inf, neg[q] if q < len(neg) else math.inf)
             end = bisect_left(taus, lowest, i + 1)
-            matrices += [matrix] * (end - i)
+            yield i, end, (self.positive_cumulative[-1] - fn, self.negative_cumulative[-1] - tn, fn, tn)
             i = end
-        return tuple(matrices)
+
+    def matrices_at(self, taus: Iterable[float]) -> tuple[ConfusionMatrix, ...]:
+        """One matrix per tau of the ascending `taus`: `runs_at`, each run's matrix repeated over its taus."""
+        runs = self.runs_at(list(taus))
+        return tuple(chain.from_iterable(repeat(ConfusionMatrix(*counts), end - start) for start, end, counts in runs))
 
 
 def classify_at_threshold(samples: ScoredSamples, tau: float) -> ConfusionMatrix:

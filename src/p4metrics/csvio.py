@@ -24,25 +24,23 @@ COUNT_COLUMNS = ("tp", "fp", "fn", "tn")
 COLUMNS = (*COUNT_COLUMNS, *METRIC_NAMES)
 
 
-def row(matrix: ConfusionMatrix) -> tuple:
-    """`matrix`'s values in COLUMNS order, None where a metric is Undefined."""
-    counts = (matrix.tp, matrix.fp, matrix.fn, matrix.tn)
+def row(matrix: ConfusionMatrix | tuple[int, int, int, int]) -> tuple:
+    """The values in COLUMNS order of `matrix`, or of a matrix's (tp, fp, fn, tn), None where a metric is Undefined."""
+    counts = matrix if type(matrix) is tuple else (matrix.tp, matrix.fp, matrix.fn, matrix.tn)
     return (*counts, *_closed_forms(*counts))
 
 
-def cells(values: Iterable) -> list[str]:
-    """The cells of `row` values: reprs, and `nan` for None; none needs quoting."""
-    return ["nan" if value is None else repr(value) for value in values]
+def cells(values: Iterable) -> str:
+    """The cells of `row` values, comma-joined: reprs, and `nan` for None; none needs quoting."""
+    return ",".join(map(repr, values)).replace("None", "nan")  # no repr of an int or float holds "None"
 
 
 def write_rows(out: TextIO, runs: Iterable[tuple[Iterable[str], tuple]], key_column: str | None) -> None:
-    """Write the header, then a line per key of each (keys, `row` values) run, each run's cells formatted
-    once.  Keys are written as given, unquoted; a `key_column` of None drops the column, its keys ''."""
+    """Write the header, then a line per key of each (keys, `row` values) run, its cells formatted and its
+    lines joined once.  Keys are written as given, unquoted; a `key_column` of None drops the column, its keys ''."""
     out.write(",".join(COLUMNS if key_column is None else (key_column, *COLUMNS)) + "\n")
-    comma = "" if key_column is None else ","  # after each key
-    for keys, values in runs:
-        line = comma + ",".join(cells(values))
-        out.writelines(f"{key}{line}\n" for key in keys)
+    comma = "" if key_column is None else ","  # after each key; a run of no keys writes nothing
+    out.writelines(f"{comma}{cells(values)}\n".join(chain(keys, ("",))) for keys, values in runs)
 
 
 def _parse_cell(name: str, text: str, line_no: int, parse: Callable[[str], object] = _parse_number):
@@ -104,7 +102,7 @@ def _read_rows(path: str | Path, parse_key: Callable[[str], object]) -> tuple[st
                 for name, text, value in zip(METRIC_NAMES, record[4:], values[4:]):
                     parsed = _parse_cell(name, text, line_no)
                     if not (parsed == value or value is None and math.isnan(parsed)):
-                        given = cells((value,))[0]
+                        given = cells((value,))
                         raise CsvFormatError(f"line {line_no}: {name} {text} does not match its counts, which give {given}")
                 rows.append((key, matrix, values))
         except csv.Error as exc:

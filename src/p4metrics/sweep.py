@@ -1,19 +1,20 @@
 """Keyed metric series, threshold sweeps and paired metric curves.
 
-A series holds one confusion matrix per value of a varied key, a threshold
-tau or a simulation's positive fraction or true positive rate, and evaluates
-each run of equal neighbouring matrices once.  A threshold sweep classifies
-the sample set at every tau on a grid.  Pairing scaled MCC with F1 or P4
-gives the two comparison curves, and the optimal threshold is the grid point
-closest to the ideal corner (1, 1) in that plane.
+A series gives one confusion matrix per value of a varied key, a threshold
+tau or a simulation's positive fraction or true positive rate, and holds and
+evaluates each run of equal neighbouring matrices once.  A threshold sweep
+walks the sample set's runs along a grid of taus.  Pairing scaled MCC with
+F1 or P4 gives the two comparison curves, and the optimal threshold is the
+grid point closest to the ideal corner (1, 1) in that plane.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import groupby
+import operator
+from itertools import chain, groupby, repeat
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import csvio
 from .confusion import ConfusionMatrix, ScoredSamples, _parse_number, _Record
@@ -35,39 +36,47 @@ def check_grid(key_column: str, keys: Sequence[float]) -> None:
     if len(keys) == 0:
         raise BadGridError("empty grid")
     closed = KEY_COLUMNS[key_column]
-    for x in keys:
-        if not (0.0 <= x <= 1.0 if closed else 0.0 < x < 1.0):
-            bounds = "[0, 1]" if closed else "(0, 1)"
-            raise BadGridError(f"{key_column} value {x!r} outside {bounds}")
-    for a, b in zip(keys, keys[1:]):
-        if not a < b:
-            raise BadGridError(f"{key_column} values must be strictly increasing, got {a!r} before {b!r}")
+    inside = (lambda x: 0.0 <= x <= 1.0) if closed else (lambda x: 0.0 < x < 1.0)
+    if all(map(operator.lt, keys, keys[1:])) and inside(keys[0]) and inside(keys[-1]):
+        return  # strictly increasing, so inside when its ends are; else name the first bad value
+    if outside := [x for x in keys if not inside(x)]:
+        raise BadGridError(f"{key_column} value {outside[0]!r} outside {'[0, 1]' if closed else '(0, 1)'}")
+    a, b = next((a, b) for a, b in zip(keys, keys[1:]) if not a < b)
+    raise BadGridError(f"{key_column} values must be strictly increasing, got {a!r} before {b!r}")
 
 
 class MetricSeries(_Record):
     """Confusion matrices along one varied key, and their metrics.
 
-    `key_column` names the key (`tau`, `pos_fraction` or `tpr`), `keys` holds
-    its values, strictly increasing, and `matrices` one matrix per key.  Each
-    run of neighbouring keys with equal matrices is evaluated once: `runs`
-    holds (first index, end index, `csvio.row` of the run's matrix) per run.
+    `key_column` names the key (`tau`, `pos_fraction` or `tpr`), `keys` holds its values, strictly
+    increasing, and `matrices` one matrix per key, a view expanded from `runs`: (first index, end
+    index, `csvio.row` of the matrix) per run of neighbouring keys with equal matrices, evaluated once.
     """
 
     _fields = ("key_column", "keys", "matrices")
-    __slots__ = (*_fields, "runs")
+    __slots__ = ("key_column", "keys", "runs")
 
     def __init__(self, key_column: str, keys: tuple[float, ...], matrices: tuple[ConfusionMatrix, ...]):
-        self._build(key_column, keys, matrices, lambda start: csvio.row(matrices[start]))
-
-    def _build(self, key_column: str, keys: tuple, matrices: tuple, row_at: Callable[[int], tuple]) -> None:
         if len(keys) != len(matrices):
             raise ValueError("keys and matrices must have equal length")
+        self._build(key_column, keys, ((start, end, csvio.row(matrix)) for start, end, matrix in _runs(matrices)))
+
+    def _build(self, key_column: str, keys: tuple, runs: Iterable[tuple]) -> MetricSeries:
         check_grid(key_column, keys)
-        runs, end = [], 0
-        for _, run in groupby(matrices):
-            start, end = end, end + sum(1 for _ in run)
-            runs.append((start, end, row_at(start)))
-        self._set(key_column, keys, matrices, tuple(runs))
+        self._set(key_column, keys, tuple(runs))
+        return self
+
+    @property
+    def matrices(self) -> tuple[ConfusionMatrix, ...]:
+        return tuple(chain.from_iterable(repeat(ConfusionMatrix(*row[:4]), end - start) for start, end, row in self.runs))
+
+
+def _runs(values: Iterable) -> Iterator[tuple]:
+    """(first index, end index, value) per run of equal neighbouring `values`."""
+    end = 0
+    for value, run in groupby(values):
+        start, end = end, end + sum(1 for _ in run)
+        yield start, end, value
 
 
 def _decimal_ratio(x: float) -> tuple[int, int]:
@@ -99,7 +108,7 @@ def make_grid(tau0: float, tau_n: float, delta: float) -> tuple[float, ...]:
         raise BadGridError(
             f"delta {delta!r} gives more than {MAX_GRID_SIZE} taus from {tau0!r} to {tau_n!r}"
         )
-    keys = [(start + i * step) / q for i in range(below)]
+    keys = [numerator / q for numerator in range(start, start + below * step, step)]
     if delta <= 2 * math.ulp(tau_n):  # only so small a step can round neighbours to one float
         keys = list(dict.fromkeys(keys))
     if keys[-1] == tau_n:  # the last sum below tau_n may round up to it
@@ -108,9 +117,10 @@ def make_grid(tau0: float, tau_n: float, delta: float) -> tuple[float, ...]:
 
 
 def threshold_sweep(samples: ScoredSamples, tau0: float = 0.0, tau_n: float = 1.0, delta: float = 0.01) -> MetricSeries:
-    """Classify `samples` at every grid threshold, by `samples.matrices_at`."""
+    """Classify `samples` at every grid threshold by `samples.runs_at`, evaluating each run once."""
     taus = make_grid(tau0, tau_n, delta)
-    return MetricSeries("tau", taus, samples.matrices_at(taus))
+    runs = ((start, end, csvio.row(counts)) for start, end, counts in samples.runs_at(taus))
+    return MetricSeries.__new__(MetricSeries)._build("tau", taus, runs)
 
 
 class OptimalThreshold(_Record):
@@ -130,18 +140,12 @@ def optimal_threshold(series: MetricSeries, y_metric: str) -> OptimalThreshold:
     if y_metric not in PAIR_METRICS:
         raise ValueError(f"y_metric must be one of {PAIR_METRICS}, got {y_metric!r}")
     pair = f"mcc-{y_metric}"
-    best = None
     x_index, y_index = csvio.COLUMNS.index("mcc_scaled"), csvio.COLUMNS.index(y_metric)
-    for start, _, row in series.runs:
-        x, y = row[x_index], row[y_index]
-        if x is None or y is None:
-            continue
-        distance = math.hypot(1.0 - x, 1.0 - y)
-        if best is None or distance < best[0]:
-            best = (distance, series.keys[start])
-    if best is None:
+    points = ((row[x_index], row[y_index], series.keys[start]) for start, _, row in series.runs)
+    defined = ((math.hypot(1.0 - x, 1.0 - y), tau) for x, y, tau in points if x is not None and y is not None)
+    distance, tau = min(defined, default=(None, None))  # of equal distances, the smallest tau
+    if distance is None:
         raise NoDefinedPointsError(f"no fully defined points on the {pair} curve")
-    distance, tau = best
     return OptimalThreshold(tau=tau, distance=distance, metric_pair=pair)
 
 
@@ -157,7 +161,5 @@ def read_curve_csv(path: str | Path) -> MetricSeries:
     key_column, rows = csvio._read_rows(path, _parse_number)
     if key_column not in KEY_COLUMNS:
         raise CsvFormatError(f"expected a key column out of {tuple(KEY_COLUMNS)}, got {key_column!r}")
-    keys, matrices = tuple(key for key, _, _ in rows), tuple(matrix for _, matrix, _ in rows)
-    series = MetricSeries.__new__(MetricSeries)
-    series._build(key_column, keys, matrices, lambda start: rows[start][2])  # rows the reader has computed
-    return series
+    runs = _runs(values for _, _, values in rows)  # the reader's rows, equal exactly where their matrices are
+    return MetricSeries.__new__(MetricSeries)._build(key_column, tuple(key for key, _, _ in rows), runs)

@@ -6,6 +6,8 @@ the CLI's chart builders were merged, and `sweep_demo.csv` before a series
 became its keys and matrices; any refactor must reproduce them exactly.
 """
 
+import hashlib
+
 import pytest
 
 from p4metrics.cli import main
@@ -57,3 +59,24 @@ def test_svg_matches_golden(name, capsys, tmp_path):
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
     # the curve CSV written beside the chart is pinned too
     assert (tmp_path / csv_name).read_bytes() == (GOLDEN / csv_name).read_bytes()
+
+
+# a 1e-4 sweep of the demo (10,001 keys in 169 runs, most of many keys) pinned by
+# SHA-256, since its 2.3 MB curve CSV is too large to keep as a file
+FINE_SWEEP_SHA256 = {
+    "curve.csv": "675dbb211421e9ef5ef0120b65b6d1e3c9da79bb8b7683b78c73e632b16c4085",
+    "curve.svg": "df05ffa3640e53cb888f4ed715609516862bbfdadd59ac7fa733b3621b7b3c8a",
+    "stdout": "62ab6c367dd157339b5c68f57aeaf8cb067019324cf70a17607f65b786a2e004",
+}
+
+
+def test_fine_sweep_matches_its_pinned_hashes(capsys, tmp_path):
+    out = tmp_path / "curve.csv"
+    argv = ["sweep", "--file", str(DEMO_CSV), "--delta", "0.0001", "--pair", "both", "--out", str(out), "--svg"]
+    assert main(argv) == 0
+    outputs = {
+        "curve.csv": out.read_bytes(),
+        "curve.svg": out.with_suffix(".svg").read_bytes(),
+        "stdout": capsys.readouterr().out.encode(),
+    }
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == FINE_SWEEP_SHA256

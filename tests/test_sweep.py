@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import pickle
 import re
 import tracemalloc
 from decimal import Decimal
@@ -157,6 +158,40 @@ class TestMakeGrid:
         threshold_sweep(demo_samples, delta=0.0001)
         assert full_checks == 1
 
+    # a NaN, a value outside the range and keys out of order, each named as the per-value loops name them:
+    # the first value outside the range, else the first pair out of order
+    @pytest.mark.parametrize("key_column, keys, message", [
+        ("tau", (math.nan,), "tau value nan outside [0, 1]"),
+        ("tau", (0.0, math.nan, 1.0), "tau value nan outside [0, 1]"),
+        ("tpr", (0.3, 0.2, math.nan), "tpr value nan outside [0, 1]"),
+        ("pos_fraction", (math.nan,), "pos_fraction value nan outside (0, 1)"),
+        ("pos_fraction", (0.0, 0.5), "pos_fraction value 0.0 outside (0, 1)"),
+        ("tau", (0.2, 1.5, 0.1), "tau value 1.5 outside [0, 1]"),
+        ("tau", (0.5, 1.5), "tau value 1.5 outside [0, 1]"),
+        ("tau", (-0.5, 0.5), "tau value -0.5 outside [0, 1]"),
+        ("pos_fraction", (0.25, 1.0), "pos_fraction value 1.0 outside (0, 1)"),
+        ("tau", (0.5, 0.5), "tau values must be strictly increasing, got 0.5 before 0.5"),
+        ("tau", (0.1, 0.3, 0.2, 0.4), "tau values must be strictly increasing, got 0.3 before 0.2"),
+    ])
+    def test_a_bad_grid_names_its_first_bad_value(self, key_column, keys, message):
+        with pytest.raises(BadGridError, match=f"^{re.escape(message)}$"):
+            sweep.check_grid(key_column, keys)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(tuple(sweep.KEY_COLUMNS)),
+           st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0, -0.0, 1.5, -0.5, math.nan)) | unit_floats, min_size=1))
+    def test_a_grid_is_checked_as_the_per_value_loops_check_it(self, key_column, keys):
+        closed = sweep.KEY_COLUMNS[key_column]
+        expected = next((f"{key_column} value {x!r} outside {'[0, 1]' if closed else '(0, 1)'}" for x in keys
+                         if not (0.0 <= x <= 1.0 if closed else 0.0 < x < 1.0)), None)
+        expected = expected or next((f"{key_column} values must be strictly increasing, got {a!r} before {b!r}"
+                                     for a, b in zip(keys, keys[1:]) if not a < b), None)
+        if expected is None:
+            sweep.check_grid(key_column, tuple(keys))
+        else:
+            with pytest.raises(BadGridError, match=f"^{re.escape(expected)}$"):
+                sweep.check_grid(key_column, tuple(keys))
+
 
 class TestThresholdSweep:
     def test_separable_pair_three_points(self):
@@ -213,6 +248,28 @@ class TestThresholdSweep:
             assert best.tau == min(
                 tau for tau, matrix in zip(curve.keys, curve.matrices) if float_distance(matrix, y_name) == best.distance
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(hard_sweeps(), st.sampled_from(((0.0, 1.0), (0.25, 0.75), (0.1, 0.97), (0.5, 0.5000001))))
+    def test_the_run_walk_tiles_the_grid_with_the_oracle_counts(self, case, bounds):
+        delta, pairs = case
+        samples, keys = samples_from(pairs), make_grid(*bounds, delta)
+        runs = list(samples.runs_at(keys))
+        starts, ends, counts = zip(*runs)
+        # the runs tile 0..G in order, each holds a key, and neighbouring runs differ in counts
+        assert starts == (0, *ends[:-1]) and ends[-1] == len(keys)
+        assert all(map(int.__lt__, starts, ends))
+        assert all(map(tuple.__ne__, counts, counts[1:]))
+        assert [run_counts for start, end, run_counts in runs for _ in range(start, end)] == [
+            oracles.classify_counts(pairs, tau) for tau in keys
+        ]
+        # a sweep built from the walk is the series of its expanded matrices
+        curve = threshold_sweep(samples, *bounds, delta)
+        expanded = MetricSeries("tau", keys, samples.matrices_at(keys))
+        assert curve == expanded and hash(curve) == hash(expanded) and repr(curve) == repr(expanded)
+        assert curve.runs == expanded.runs and curve.matrices == samples.matrices_at(keys)
+        twin = pickle.loads(pickle.dumps(curve))
+        assert twin == expanded and twin.runs == expanded.runs and twin.matrices == expanded.matrices
 
     def test_evaluates_each_distinct_matrix_once(self, demo_samples, monkeypatch):
         calls = 0
@@ -410,6 +467,25 @@ class TestCurveCsv:
             writer.writerows((key, matrix.tp, matrix.fp, matrix.fn, matrix.tn, *values) for key in keys)
         assert buffer.getvalue() == expected.getvalue()
 
+    def test_a_run_of_no_keys_writes_no_line_and_a_blank_key_one(self):
+        values = csvio.row(ConfusionMatrix(1, 2, 3, 4))
+        line = (
+            "1,2,3,4,0.3333333333333333,0.25,0.6666666666666666,0.5714285714285714,0.2857142857142857,"
+            "0.3902439024390244,-0.0890870806374748,0.4554564596812626,-0.08333333333333337,"
+            "0.4583333333333333,-0.09523809523809534,0.45238095238095233\n"
+        )
+        header = ",".join(csvio.COLUMNS) + "\n"
+        for runs, key_column, written in [
+            ([((), values)], None, header),
+            ([(("",), values)], None, header + line),
+            ([((), values), (("",), values), ((), values)], None, header + line),
+            ([((), values), (("C1",), values), ((), values), (("C2", "C3"), values)], "case",
+             "case," + header + f"C1,{line}C2,{line}C3,{line}"),
+        ]:
+            buffer = io.StringIO()
+            csvio.write_rows(buffer, runs, key_column)
+            assert buffer.getvalue() == written
+
     def test_read_back_curve_shares_points_like_the_sweep(self, demo_samples, tmp_path):
         curve = threshold_sweep(demo_samples)
         path = tmp_path / "curve.csv"
@@ -491,7 +567,7 @@ class TestCurveCsv:
 
     def test_quoted_newline_keeps_physical_line_numbers(self, tmp_path):
         header = ",".join(("case", *csvio.COLUMNS))
-        cells = ",".join(csvio.cells(csvio.row(ConfusionMatrix(1, 2, 3, 4))))
+        cells = csvio.cells(csvio.row(ConfusionMatrix(1, 2, 3, 4)))
         path = tmp_path / "cases.csv"
         # the key "C\n1" is quoted across lines 2-3, so the bad row is on line 4
         path.write_bytes(f'{header}\n"C\n1",{cells}\nC2,1\n'.encode())
