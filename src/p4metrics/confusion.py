@@ -50,8 +50,8 @@ class _Record:
 
     __delattr__ = __setattr__
 
-    def __setstate__(self, state) -> None:  # (None, slots) from object.__getstate__
-        self._set(*map(state[1].get, self.__slots__))
+    def __setstate__(self, state) -> None:  # (None, slots) from object.__getstate__; a slot missing raises KeyError
+        self._set(*map(state[1].__getitem__, self.__slots__))
 
     def __eq__(self, other):
         return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
@@ -224,17 +224,17 @@ def read_scored_csv(path: str | Path) -> ScoredSamples:
     The file, less a UTF-8 BOM, is read in blocks, split at LF, CRLF and lone
     CR as `open(newline="")` splits it; a line is decoded and checked when
     first counted since the counts were last flushed, once `_CHUNK_LINES` were
-    held.  Parsing costs O(n) hashing plus O(D log D) for D distinct scores,
-    memory O(D) plus a block; from a `"` on, each record is checked.
+    held.  Parsing costs O(n) hashing plus O(D log D) for D distinct scores, memory
+    O(D) plus a block; once a line is not one good record alone, each record is checked.
 
     A regular file of at least 2 * `_SPLIT_BYTES` is first read in byte
     ranges split at line ends, one per CPU the process may run on, when
     `os.fork` exists and no other thread runs: this process tallies the first
     range and one forked child each other range, each by the same loop as the
-    reader above, and the tallies are added in file order.  A `"` in a data
-    line, a bad line or header, or a child that fails or cannot be started
-    sends the whole file through the reader above, so every result and error
-    is the same.  No child outlives the call.
+    reader above, and the tallies are added in file order.  A line that is
+    not one good record, a bad header, or a child that fails or cannot be
+    started sends the whole file through the reader above, so every result
+    and error is the same.  No child outlives the call.
     """
     with open(path, "rb") as fh:
         if len(bounds := _split_bounds(fh)) > 2:
@@ -281,10 +281,10 @@ def _cpus() -> int:
 
 def _split_bounds(fh) -> list[int]:
     """The offsets that split binary file `fh` into ranges to count apart, 0 and
-    its size included; [0, size] or [] when it is not worth or safe to split,
-    or a `"` shows.  Each inner offset follows the first line end, an LF or a
-    CR not before an LF, in the block at or after k * size / N for N ranges; a
-    block without one gives no offset."""
+    its size included; [0, size] or [] when it is not worth or safe to split.
+    Each inner offset follows the first line end, an LF or a CR not before an
+    LF, in the block at or after k * size / N for N ranges; a block without
+    one gives no offset."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
         return []
@@ -297,8 +297,6 @@ def _split_bounds(fh) -> list[int]:
     for k in range(1, ranges):
         at = k * size // ranges
         block = os.pread(fd, _BLOCK_BYTES + 1, at)  # and the byte after it, to tell a lone CR from a CRLF
-        if b'"' in block:  # the file will be read record by record
-            return []
         lf, cr = block.find(b"\n", 0, _BLOCK_BYTES), block.find(b"\r", 0, _BLOCK_BYTES)
         end = cr + (block[cr + 1 : cr + 2] == b"\n") if cr >= 0 and (lf < 0 or cr < lf) else lf
         if end >= 0 and bounds[-1] < at + end + 1 < size:
@@ -324,7 +322,7 @@ def _read_ranges(path: str | Path, fh, bounds: list[int]) -> ScoredSamples | Non
             os.close(fds.pop())
         try:
             tallies, rest, _ = _tally(_byte_lines(fh, bounds[1]), _decoded)
-        except SampleParseError:  # a bad line, or a header cut by the range's end
+        except SampleParseError:  # a bad header, or one cut by the range's end
             return None
         while rest is None and children:
             pid, fd = children[0]
@@ -355,8 +353,8 @@ def _tally_range(path: str | Path, fd: int, start: int, end: int, read: int, wri
     """In a forked child: write the tallies `_tally` gives of the lines between
     bytes `start` and `end` of the file open as `fd` at `path`, after a
     `score,label` header, to the pipe, then exit 0; exit 1 without them, for a
-    bad line or a `"` too.  It never returns, runs no exit handler and flushes
-    no stream of its parent's."""
+    line that is not one good record too.  It never returns, runs no exit
+    handler and flushes no stream of its parent's."""
     code = 1
     try:
         os.close(read)
@@ -386,8 +384,8 @@ def _header(reader) -> None:
 
 def _parse(chunks: Iterator[list], decoded: Callable[[Iterable], Iterator[str]]) -> ScoredSamples:
     """Scored samples from `chunks`, lists of lines which `decoded(lines)` gives as text."""
-    tallies, quoted, first_line = _tally(chunks, decoded)
-    reader, start = csv.reader(quoted or ()), first_line  # and the physical line the next record starts on
+    tallies, rest, first_line = _tally(chunks, decoded)
+    reader, start = csv.reader(rest or ()), first_line  # and the physical line the next record starts on
     try:
         for row in reader:
             is_positive, score = _sample(row)
@@ -402,34 +400,35 @@ def _tally(chunks: Iterator[list], decoded: Callable[[Iterable], Iterator[str]])
     """Check the header of `chunks`, lists of lines which `decoded(lines)` gives
     as text, and tally the lines after it, each distinct line checked once per
     flush.  Return the score -> count tallies per class; the text, unread, from
-    the first chunk whose new lines hold a `"` on, or after a header over many
-    lines, else None; and the physical number of its first line."""
+    the first chunk with a new line that is not one good record on its own, or
+    after a header over many lines, else None; and the physical number of its first line."""
     chunk = next(chunks, [])
     reader = csv.reader(text := decoded(chain(chunk, chain.from_iterable(chunks))))
     _header(reader)
     tallies = {True: {}, False: {}, None: {}}  # score -> count per class, keyed by is_positive; None for blank lines
     counts, samples = Counter(), []  # lines counted since the last flush, in first-sight order, and their samples
     first_line = reader.line_num + 1  # the physical number of the next line
-    quoted = text if first_line > 2 else None  # the rest of a header on many lines, read record by record
-    for chunk in chain([chunk[1:]], chunks) if quoted is None else ():
+    rest = text if first_line > 2 else None  # the rest of a header on many lines, read record by record
+    for chunk in chain([chunk[1:]], chunks) if rest is None else ():
         known = len(counts)
         counts.update(chunk)
         new = list(islice(reversed(counts), len(counts) - known))[::-1]
-        texts = list(decoded(new))
-        if '"' in "".join(texts):
+        rows = csv.reader(chain(decoded(new), [""]))  # a line open in quotes takes in the next, or the blank one
+        try:  # each new line is one whole record when it gives one row, and the blank line the last, []
+            samples.extend(map(_sample, islice(rows, len(new))))
+            if list(rows) != [[]]:
+                raise ValueError("a record over many lines")
+        except (ValueError, csv.Error):  # the record loop reads the rest, and names the first bad record's line
             counts.subtract(chunk)  # its first-seen lines, past the end of `samples`, add nothing
-            quoted = decoded(chain(chunk, chain.from_iterable(chunks)))
+            del samples[known:]
+            rest = decoded(chain(chunk, chain.from_iterable(chunks)))
             break
-        try:  # a line without a `"` is one record
-            samples.extend(map(_sample, csv.reader(texts)))
-        except (ValueError, csv.Error) as exc:  # `samples` holds those before the bad line
-            raise SampleParseError(first_line + operator.indexOf(chunk, new[len(samples) - known]), str(exc)) from None
         if len(counts) >= _CHUNK_LINES:
             _add(tallies, counts.values(), samples)
             counts, samples = Counter(), []
         first_line += len(chunk)
     _add(tallies, counts.values(), samples)
-    return tallies, quoted, first_line
+    return tallies, rest, first_line
 
 
 def _add(tallies: dict, counts: Iterable[int], samples: Iterable[tuple]) -> None:

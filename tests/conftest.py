@@ -79,16 +79,22 @@ def scored_pairs(min_size=1, max_size=50):
 
 # rows for generated scored CSV text: duplicates, quoted fields, quoted line
 # ends, blank lines and, in BAD_ROWS, one row of each kind of error (the last
-# is over a field size limit of 24)
+# is over a field size limit of 24), and two whose count of `"` misleads: the
+# line with one is a whole record, and the line with two is not
 GOOD_ROWS = (
     "0.5,1", "0.50,positive", "0,0", "1,NEGATIVE", ".25, 1 ", " 1e-1,0", "",
     '"0.5",1', '0.25,"0"', '"0.75","positive"', '0.75,"1\n"', '"1","0\r\n"', '0.5,"1\r"',
 )
 BAD_ROWS = (
     "bad,1", "1.5,0", "-0.1,1", "nan,1", "0.5,maybe", "0.5,1,extra", "0.5", " ",
-    '"0.5,1"', '0.5,"2\n"', "0." + "1" * 30 + ",1",
+    '"0.5,1"', '0.5,"2\n"', '0"5,1', '0"5,"1\n"', "0." + "1" * 30 + ",1",
 )
 LINE_ENDS = ("\n", "\r\n", "\r")
+# a `score,label` row quoted as R's write.csv quotes a text column, and with every field quoted
+QUOTINGS = {
+    "quoted-labels": lambda row: row.replace(",", ',"') + '"',
+    "quoted-fields": lambda row: '"' + row.replace(",", '","') + '"',
+}
 
 
 @st.composite

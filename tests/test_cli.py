@@ -18,7 +18,9 @@ from p4metrics import ConfusionMatrix, confusion, csvio, read_curve_csv, svg, sw
 from p4metrics.cli import main
 from p4metrics.metrics import METRIC_NAMES
 from p4metrics.sweep import make_grid
-from conftest import DEMO_CSV, FIXTURES, NON_UTF8_CSVS, NUMBER_SPELLINGS, float_distance, scored_csv_texts, unit_floats
+from conftest import (
+    DEMO_CSV, FIXTURES, NON_UTF8_CSVS, NUMBER_SPELLINGS, QUOTINGS, float_distance, scored_csv_texts, unit_floats,
+)
 import oracles
 
 
@@ -140,6 +142,10 @@ class TestEval:
         path = tmp_path / "late-cr.csv"
         path.write_bytes(("\n".join(rows[:2000]) + "\n" + "\r".join(rows[2000:]) + "\r").encode())
         results.add(run_cli(capsys, "eval", "--file", str(path), "--format", "json"))
+        for name, quote in QUOTINGS.items():  # with the header quoted too, as R's write.csv quotes it
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(("\n".join(['"score","label"', *map(quote, rows[1:])]) + "\n").encode())
+            results.add(run_cli(capsys, "eval", "--file", str(path), "--format", "json"))
         assert len(results) == 1
         rc, out, err = results.pop()
         if bad_row is None:

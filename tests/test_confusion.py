@@ -27,8 +27,8 @@ from p4metrics import (
 )
 from p4metrics import confusion
 from conftest import (
-    DEMO_COUNTS_AT_HALF, DEMO_CSV, LINE_ENDS, NON_UTF8_CSVS, NUMBER_SPELLINGS, matrices, samples_from, scored_csv_texts,
-    scored_pairs, unit_floats,
+    DEMO_COUNTS_AT_HALF, DEMO_CSV, LINE_ENDS, NON_UTF8_CSVS, NUMBER_SPELLINGS, QUOTINGS, matrices, samples_from,
+    scored_csv_texts, scored_pairs, unit_floats,
 )
 import oracles
 
@@ -249,6 +249,13 @@ class TestScoredCsv:
         with pytest.raises(SampleParseError, match="line 3: bad score 'bad'"):
             parse_scored_csv(lines)
 
+    def test_a_chunk_with_a_line_left_open_adds_nothing_to_the_tallies(self):
+        # the second chunk's first two lines are whole, and its third leaves a quote open over the fourth
+        chunk = ["0.25,0\n", "0.5,1\n", '0.75,"1\n', '"\n']
+        tallies, rest, first_line = confusion._tally(iter([["score,label\n", "0.5,1\n"], chunk]), iter)
+        assert tallies == {True: {0.5: 1}, False: {}, None: {}}
+        assert (list(rest), first_line) == (chunk, 3)
+
     @settings(max_examples=300)
     @given(text=scored_csv_texts(), chunk_lines=st.integers(min_value=1, max_value=3),
            block_bytes=st.integers(min_value=1, max_value=8), bom=st.booleans())
@@ -450,6 +457,11 @@ class TestSplitRead:
              block_bytes=4, bom=False, chunk_lines=65_536)
     @example(text="score,label\n0.5,1\n0.25,0\n0.5,1\n0.25,0\n0.5,maybe\n0.5,1\n", split_bytes=16, cpus=3,
              block_bytes=8, bom=False, chunk_lines=65_536)
+    # a record over many lines whose first line ends this process's range, and one whose closing line starts a child's
+    @example(text='score,label\n0.5,1\n0.5,"1\n"\n0.25,0\n0.75,1\n', split_bytes=8, cpus=2, block_bytes=8, bom=False,
+             chunk_lines=65_536)
+    @example(text='score,label\n0.5,1\n0.25,0\n0.5,"1\n\n"\n0.25,0\n0.75,1\n', split_bytes=8, cpus=3, block_bytes=4,
+             bom=False, chunk_lines=65_536)
     # a second header line, and a line that begins with a BOM at the start of a range
     @example(text="score,label\n0.5,1\n0.25,0\nscore,label\n0.5,1\n", split_bytes=16, cpus=2, block_bytes=8, bom=False,
              chunk_lines=65_536)
@@ -494,13 +506,16 @@ class TestSplitRead:
         else:
             assert split == ("empty",)
 
-    # a quoted header, as R's write.csv writes, is read as one record
-    @pytest.mark.parametrize("header", ["score,label", '"score","label"'], ids=["header", "quoted-header"])
+    # a quoted header, as R's write.csv writes, is read as one record, and rows with quoted
+    # fields, as R's write.csv quotes a text column or csv.QUOTE_ALL every field, are counted like any other
+    @pytest.mark.parametrize("header, quote", [
+        ("score,label", str), ('"score","label"', str), *(('"score","label"', quote) for quote in QUOTINGS.values()),
+    ], ids=["header", "quoted-header", *QUOTINGS])
     @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
     @pytest.mark.parametrize("end", LINE_ENDS, ids=["lf", "crlf", "cr"])
-    def test_each_distinct_line_of_a_split_file_is_checked_once(self, demo_pairs, tmp_path, header, bom, end):
+    def test_each_distinct_line_of_a_split_file_is_checked_once(self, demo_pairs, tmp_path, header, bom, end, quote):
         path = tmp_path / "scores.csv"
-        _, *rows = DEMO_CSV.read_text().splitlines()
+        _, *rows = map(quote, DEMO_CSV.read_text().splitlines())
         path.write_bytes((bom + end.join([header, *rows * 3]) + end).encode())
         with (patch.object(confusion, "_SPLIT_BYTES", 1024), patch.object(confusion, "_cpus", lambda: 4),
               patch.object(confusion, "_byte_lines", wraps=confusion._byte_lines) as split,

@@ -56,6 +56,19 @@ def test_value_semantics(name):
             assert twin.runs == runs
 
 
+class MatricesSlotPickle:
+    """Pickles as a `MetricSeries` of the layout whose slots were its fields, `matrices` in place of `runs`."""
+
+    def __reduce__(self):
+        value = BUILDERS["MetricSeries"][1]()
+        return object.__new__, (MetricSeries,), (None, {name: getattr(value, name) for name in value._fields})
+
+
+def test_a_pickle_without_a_slot_fails_to_load():
+    with pytest.raises(KeyError, match="runs"):
+        pickle.loads(pickle.dumps(MatricesSlotPickle()))
+
+
 # the fields a class pattern binds by position, in order; `runs` is not one
 MATCH_ARGS = {
     "ConfusionMatrix": ("tp", "fp", "fn", "tn"),
