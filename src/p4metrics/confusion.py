@@ -222,19 +222,19 @@ def read_scored_csv(path: str | Path) -> ScoredSamples:
     starts on.  A file with a header but no data rows raises EmptyInputError.
 
     The file, less a UTF-8 BOM, is read in blocks, split at LF, CRLF and lone
-    CR as `open(newline="")` splits it; a line is decoded and checked when
-    first counted since the counts were last flushed, once `_CHUNK_LINES` were
-    held.  Parsing costs O(n) hashing plus O(D log D) for D distinct scores, memory
+    CR as `open(newline="")` splits it; a line, the header's too, is decoded and
+    checked when first counted since the counts were last flushed, once
+    `_CHUNK_LINES` were held.  Parsing costs O(n) hashing plus O(D log D) for D distinct scores, memory
     O(D) plus a block; once a line is not one good record alone, each record is checked.
 
     A regular file of at least 2 * `_SPLIT_BYTES` is first read in byte
     ranges split at line ends, one per CPU the process may run on, when
     `os.fork` exists and no other thread runs: this process tallies the first
     range and one forked child each other range, each by the same loop as the
-    reader above, and the tallies are added in file order.  A line that is
-    not one good record, a bad header, or a child that fails or cannot be
-    started sends the whole file through the reader above, so every result
-    and error is the same.  No child outlives the call.
+    reader above, and the tallies are added in file order.  A line, the
+    header included, that is not one good record, or a child that fails or
+    cannot be started sends the whole file through the reader above, so every
+    result and error is the same.  No child outlives the call.
     """
     with open(path, "rb") as fh:
         if len(bounds := _split_bounds(fh)) > 2:
@@ -320,10 +320,7 @@ def _read_ranges(path: str | Path, fh, bounds: list[int]) -> ScoredSamples | Non
                 _tally_range(path, fh.fileno(), start, end, *fds[-2:])
             children.append((pid, fds[-2]))
             os.close(fds.pop())
-        try:
-            tallies, rest, _ = _tally(_byte_lines(fh, bounds[1]), _decoded)
-        except SampleParseError:  # a bad header, or one cut by the range's end
-            return None
+        tallies, rest, _ = _tally(_byte_lines(fh, bounds[1]), _decoded)
         while rest is None and children:
             pid, fd = children[0]
             with open(fd, "rb", closefd=False) as pipe:
@@ -370,63 +367,64 @@ def _tally_range(path: str | Path, fd: int, start: int, end: int, read: int, wri
         os._exit(code)
 
 
-def _header(reader) -> None:
-    """Read and check the `score,label` header record of csv `reader`."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyInputError("file is empty") from None
-    except csv.Error as exc:
-        raise SampleParseError(1, str(exc)) from None
-    if [column.strip().lower() for column in header] != ["score", "label"]:
-        raise SampleParseError(1, f"expected header 'score,label', got {','.join(header)!r}")
+def _header(row: Sequence[str]) -> None:
+    """Check the header row, `score,label` with its fields stripped and lower-cased; a bad one raises ValueError."""
+    if [column.strip().lower() for column in row] != ["score", "label"]:
+        raise ValueError(f"expected header 'score,label', got {','.join(row)!r}")
 
 
 def _parse(chunks: Iterator[list], decoded: Callable[[Iterable], Iterator[str]]) -> ScoredSamples:
-    """Scored samples from `chunks`, lists of lines which `decoded(lines)` gives as text."""
+    """Scored samples from `chunks`, lists of lines which `decoded(lines)` gives as text: `_tally`'s
+    counts, then the record loop over the rest it leaves, whose record on line 1, if any, is the header."""
     tallies, rest, first_line = _tally(chunks, decoded)
     reader, start = csv.reader(rest or ()), first_line  # and the physical line the next record starts on
     try:
+        if start == 1:  # no chunk was counted: the rest starts with the header record
+            _header(next(reader))
+            start = 1 + reader.line_num
         for row in reader:
             is_positive, score = _sample(row)
             tallies[is_positive][score] = tallies[is_positive].get(score, 0) + 1
             start = first_line + reader.line_num
+    except StopIteration:
+        raise EmptyInputError("file is empty") from None
     except (ValueError, csv.Error) as exc:
         raise SampleParseError(start, str(exc)) from None
     return ScoredSamples.from_tallies(tallies[True], tallies[False])
 
 
 def _tally(chunks: Iterator[list], decoded: Callable[[Iterable], Iterator[str]]) -> tuple[dict, Iterator[str] | None, int]:
-    """Check the header of `chunks`, lists of lines which `decoded(lines)` gives
-    as text, and tally the lines after it, each distinct line checked once per
-    flush.  Return the score -> count tallies per class; the text, unread, from
-    the first chunk with a new line that is not one good record on its own, or
-    after a header over many lines, else None; and the physical number of its first line."""
-    chunk = next(chunks, [])
-    reader = csv.reader(text := decoded(chain(chunk, chain.from_iterable(chunks))))
-    _header(reader)
+    """Tally the lines of `chunks`, lists of lines which `decoded(lines)` gives
+    as text, each distinct line checked once per flush, and the header, the
+    first line, with the first chunk's new lines.  Return the score -> count
+    tallies per class; the text, unread, from the first chunk with a new line,
+    the header included, that is not one good record on its own, else None;
+    and the physical number of its first line, or of the next: 1 while the header is not counted."""
     tallies = {True: {}, False: {}, None: {}}  # score -> count per class, keyed by is_positive; None for blank lines
     counts, samples = Counter(), []  # lines counted since the last flush, in first-sight order, and their samples
-    first_line = reader.line_num + 1  # the physical number of the next line
-    rest = text if first_line > 2 else None  # the rest of a header on many lines, read record by record
-    for chunk in chain([chunk[1:]], chunks) if rest is None else ():
+    chunk = next(chunks, [])
+    head, rest, first_line = chunk[:1], None, 1  # the header line, and the physical number of the next line
+    for chunk in chain([chunk[1:]], chunks):
         known = len(counts)
         counts.update(chunk)
         new = list(islice(reversed(counts), len(counts) - known))[::-1]
-        rows = csv.reader(chain(decoded(new), [""]))  # a line open in quotes takes in the next, or the blank one
-        try:  # each new line is one whole record when it gives one row, and the blank line the last, []
+        rows = csv.reader(chain(decoded(chain(head, new)), [""]))  # a line open in quotes takes in the next or the blank
+        try:  # each line is one whole record when it gives one row, and the blank line the last, []
+            if head:
+                _header(next(rows))
             samples.extend(map(_sample, islice(rows, len(new))))
             if list(rows) != [[]]:
                 raise ValueError("a record over many lines")
         except (ValueError, csv.Error):  # the record loop reads the rest, and names the first bad record's line
             counts.subtract(chunk)  # its first-seen lines, past the end of `samples`, add nothing
             del samples[known:]
-            rest = decoded(chain(chunk, chain.from_iterable(chunks)))
+            rest = decoded(chain(head, chunk, chain.from_iterable(chunks)))
             break
         if len(counts) >= _CHUNK_LINES:
             _add(tallies, counts.values(), samples)
             counts, samples = Counter(), []
-        first_line += len(chunk)
+        first_line += len(head) + len(chunk)
+        head = []
     _add(tallies, counts.values(), samples)
     return tallies, rest, first_line
 

@@ -95,12 +95,17 @@ QUOTINGS = {
     "quoted-labels": lambda row: row.replace(",", ',"') + '"',
     "quoted-fields": lambda row: '"' + row.replace(",", '","') + '"',
 }
+# the header written as most writers write it, and odd ones: good when spaced, cased
+# or over two lines, bad with a field wrong, missing or extra, on an empty line or with a NUL
+HEADERS = ("score,label", '"score","label"')
+ODD_HEADERS = (" Score , LABEL ", '"score\n",label', "score,lab", "score,label,x", "", "score\0,label")
 
 
 @st.composite
 def scored_csv_texts(draw):
-    """Scored CSV text: up to 16 rows repeating a few good rows, then, in
-    some texts, up to 8 that also repeat a few bad rows; each row drawn with
+    """Scored CSV text: a header, one of HEADERS three times in four and else
+    one of ODD_HEADERS, then up to 16 rows repeating a few good rows, then, in
+    some texts, up to 8 that also repeat a few bad rows; each line drawn with
     its own line end."""
 
     def rows(pool, max_size):
@@ -111,7 +116,8 @@ def scored_csv_texts(draw):
     lines = rows(GOOD_ROWS, 16)
     if draw(st.booleans()):
         lines += rows(GOOD_ROWS + BAD_ROWS, 8)
-    text = draw(st.sampled_from(["score,label", '"score","label"'])) + draw(st.sampled_from(LINE_ENDS))
+    headers = ODD_HEADERS if draw(st.integers(min_value=0, max_value=3)) == 0 else HEADERS
+    text = draw(st.sampled_from(headers)) + draw(st.sampled_from(LINE_ENDS))
     text += "".join(row + end for row, end in lines)
     if lines and draw(st.booleans()):
         text = text[: -len(lines[-1][1])]  # no line end after the last row

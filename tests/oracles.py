@@ -136,16 +136,16 @@ _LABELS = {"1": True, "positive": True, "0": False, "negative": False}
 
 
 def parse_scored_rows(lines):
-    """Parse the data rows of a `score,label` CSV one `csv.reader` row at a time.
+    """Parse a `score,label` CSV one `csv.reader` row at a time.
 
-    The first line must be the header `score,label`.  Returns ("ok", pairs),
-    the (score, is_positive) pair of every non-blank row, or ("error", line,
-    message) for the first bad row, where line is the physical line the row
-    (or the csv error) starts on: the line after the one the reader had read
-    up to before it.
+    The first record is the header: its fields, stripped and lower-cased, must
+    be `score` and `label`.  Returns ("ok", pairs), the (score, is_positive)
+    pair of every non-blank row after it (none if there is no record at all),
+    or ("error", line, message) for the first bad row, the header included,
+    where line is the physical line the row (or the csv error) starts on: the
+    line after the one the reader had read up to before it.
     """
     reader = csv.reader(lines)
-    assert next(reader) == ["score", "label"]
     pairs = []
     while True:
         line = reader.line_num + 1
@@ -155,6 +155,10 @@ def parse_scored_rows(lines):
             return "ok", pairs
         except csv.Error as exc:
             return "error", line, str(exc)
+        if line == 1:
+            if [field.strip().lower() for field in row] != ["score", "label"]:
+                return "error", line, f"expected header 'score,label', got {','.join(row)!r}"
+            continue
         if not row:
             continue
         if len(row) != 2:

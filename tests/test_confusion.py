@@ -485,9 +485,7 @@ class TestSplitRead:
         scored_path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
         limit = csv.field_size_limit(24)
         try:
-            # the oracle reads the headers scored_csv_texts() draws
-            oracle = text.startswith(("score,label", '"score","label"'))
-            expected = oracles.parse_scored_rows(io.StringIO(text, newline="")) if oracle else (None,)
+            expected = oracles.parse_scored_rows(io.StringIO(text, newline=""))
             with (patch.object(confusion, "_SPLIT_BYTES", split_bytes), patch.object(confusion, "_BLOCK_BYTES", block_bytes),
                   patch.object(confusion, "_CHUNK_LINES", chunk_lines)):
                 serial = read_serially(scored_path)
@@ -496,9 +494,7 @@ class TestSplitRead:
         finally:
             csv.field_size_limit(limit)
         assert split == serial
-        if expected[0] is None:
-            assert split == ("ok", ScoredSamples([0.5], [0.25]))
-        elif expected[0] == "error":
+        if expected[0] == "error":
             _, line, message = expected
             assert split == ("error", line, f"line {line}: {message}")
         elif expected[1]:
@@ -543,18 +539,20 @@ class TestSplitRead:
         assert_no_child_left()
 
     # with 512-byte ranges the demo's 3,012 bytes are read in 3 ranges, so
-    # line 11 lies in this process's range and line 150 in the last child's
+    # lines 1 and 11 lie in this process's range and line 150 in the last child's
     @pytest.mark.parametrize("case", [
-        "good", "bad-row-while-a-child-counts", "bad-row-in-a-child", "child-killed", "child-fails-after-writing",
-        "child-result-cut-short", "too-many-distinct-lines", "interrupt", "fork-fails",
+        "good", "bad-header", "bad-row-while-a-child-counts", "bad-row-in-a-child", "child-killed",
+        "child-fails-after-writing", "child-result-cut-short", "too-many-distinct-lines", "interrupt", "fork-fails",
     ])
     def test_no_child_outlives_the_read(self, tmp_path, capfd, monkeypatch, case):
         rows = DEMO_CSV.read_text().splitlines(keepends=True)
-        if (bad_line := {"bad-row-while-a-child-counts": 11, "bad-row-in-a-child": 150}.get(case)) is not None:
-            rows[bad_line - 1] = "0.5,maybe\n"
+        bad_line = {"bad-header": 1, "bad-row-while-a-child-counts": 11, "bad-row-in-a-child": 150}.get(case)
+        if bad_line is not None:
+            rows[bad_line - 1] = "score,lable\n" if bad_line == 1 else "0.5,maybe\n"
         path = tmp_path / "scores.csv"
         path.write_text("".join(rows), newline="")
         serial = read_serially(path)
+        assert serial[0] == "ok" if bad_line is None else serial[:2] == ("error", bad_line)
         in_child = {
             "bad-row-while-a-child-counts": lambda: time.sleep(0.2),
             "child-killed": lambda: os.kill(os.getpid(), signal.SIGKILL),
