@@ -160,9 +160,9 @@ class ScoredSamples(_Record):
 
     def runs_at(self, taus: Sequence[float]) -> Iterator[tuple[int, int, tuple[int, int, int, int]]]:
         """(first index, end index, (tp, fp, fn, tn)) per run of equal counts along the ascending `taus`,
-        a sample positive iff score > tau; taus out of order raise ValueError.  Counts change only at a
-        score, so neighbouring runs differ, and a run costs three bisects: one per class for its counts,
-        one for its end.  R <= min(D + 1, G) runs for D distinct scores and G taus cost O(R log DG)."""
+        a sample positive iff score > tau; taus out of order raise ValueError when iteration starts.  Counts
+        change only at a score, so neighbouring runs differ, and a run costs three bisects: one per class for
+        its counts, one for its end.  R <= min(D + 1, G) runs for D distinct scores and G taus cost O(R log DG)."""
         if not all(map(operator.le, taus, taus[1:])):  # a NaN among taus fails too
             raise ValueError("taus must ascend")
         pos, neg = self.positive_scores, self.negative_scores
@@ -170,30 +170,25 @@ class ScoredSamples(_Record):
         while i < len(taus):
             p, q = bisect_right(pos, taus[i]), bisect_right(neg, taus[i])
             fn, tn = self.positive_cumulative[p], self.negative_cumulative[q]
-            # the run ends before the first tau at or above the lowest score above its own tau
+            # the run ends before the first tau at or above the lowest score above its own tau, if any
             lowest = min(pos[p] if p < len(pos) else math.inf, neg[q] if q < len(neg) else math.inf)
-            end = bisect_left(taus, lowest, i + 1)
+            end = bisect_left(taus, lowest, i + 1) if lowest < math.inf else len(taus)
             yield i, end, (self.positive_cumulative[-1] - fn, self.negative_cumulative[-1] - tn, fn, tn)
             i = end
 
-    def matrices_at(self, taus: Iterable[float]) -> tuple[ConfusionMatrix, ...]:
-        """One matrix per tau of the ascending `taus`: `runs_at`, each run's matrix repeated over its taus."""
-        runs = self.runs_at(list(taus))
-        return tuple(chain.from_iterable(repeat(ConfusionMatrix(*counts), end - start) for start, end, counts in runs))
-
 
 def classify_at_threshold(samples: ScoredSamples, tau: float) -> ConfusionMatrix:
-    """The matrix of `samples` at one tau checked to lie in [0, 1], in O(log n).
+    """The matrix of `samples` at one tau checked to lie in [0, 1], from its one run, in O(log D) for D distinct scores.
 
     The comparison is strict, so tau=0 marks every sample with a nonzero
     score positive and tau=1 classifies everything negative.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau!r}")
-    return samples.matrices_at((tau,))[0]
+    return ConfusionMatrix(*next(samples.runs_at((tau,)))[2])
 
 
-# text lines a scored CSV is read by at a time, and the number of counted lines that flushes them
+# text lines a scored CSV is read by at a time, and the number of distinct lines held that flushes the counts
 _CHUNK_LINES = 65_536
 # bytes a scored-CSV file is read by at a time, small: a block's line list is the working set of either route
 _BLOCK_BYTES = 16_384

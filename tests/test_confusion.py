@@ -123,11 +123,30 @@ class TestScoredSamples:
         assert len(samples) == 7
 
     @pytest.mark.parametrize("taus", [(0.5, 0.25), (0.75, math.nan, 0.25)], ids=["descending", "nan"])
-    def test_matrices_at_needs_ascending_taus(self, demo_samples, taus):
+    def test_runs_at_needs_ascending_taus(self, demo_samples, taus):
+        # a generator: the order is checked when iteration starts
         with pytest.raises(ValueError, match="^taus must ascend$"):
-            demo_samples.matrices_at(taus)
-        half = classify_at_threshold(demo_samples, 0.5)
-        assert demo_samples.matrices_at(iter((0.5, 0.5))) == (half, half)
+            list(demo_samples.runs_at(taus))
+        assert list(demo_samples.runs_at((0.5, 0.5))) == [(0, 2, DEMO_COUNTS_AT_HALF)]
+
+    def test_runs_at_keeps_taus_past_every_score_in_one_run(self, demo_samples):
+        everything_negative = (0, 0, 60, 140)
+        assert list(demo_samples.runs_at((1.0, 1.5, math.inf, math.inf))) == [(0, 4, everything_negative)]
+
+    @given(scored_pairs(), st.data())
+    def test_runs_at_walks_any_ascending_taus(self, pairs, data):
+        # repeats, -0.0, values outside [0, 1], infinities and the scores themselves
+        special = st.sampled_from([-0.0, 0.0, 1.0, -0.5, 1.5, -math.inf, math.inf, *(score for score, _ in pairs)])
+        drawn = data.draw(st.lists(st.one_of(st.floats(allow_nan=False), special), max_size=30))
+        taus = sorted(drawn + drawn[: data.draw(st.integers(0, len(drawn)))])
+        runs = list(samples_from(pairs).runs_at(taus))
+        # the runs tile the indices in order, each holds a tau, and neighbouring runs differ in counts
+        assert [i for start, end, _ in runs for i in range(start, end)] == list(range(len(taus)))
+        assert all(start < end for start, end, _ in runs)
+        assert all(a[2] != b[2] for a, b in zip(runs, runs[1:]))
+        assert [counts for start, end, counts in runs for _ in range(start, end)] == [
+            oracles.classify_counts(pairs, tau) for tau in taus
+        ]
 
 
 class TestClassifyAtThreshold:
@@ -151,9 +170,10 @@ class TestClassifyAtThreshold:
         with pytest.raises(EmptyInputError):
             ScoredSamples((), ())
 
-    def test_tau_out_of_range(self):
-        with pytest.raises(ValueError):
-            classify_at_threshold(samples_from([(0.5, True)]), 1.5)
+    @pytest.mark.parametrize("tau", [1.5, math.nan, -0.5, math.inf])
+    def test_tau_out_of_range(self, tau):
+        with pytest.raises(ValueError, match=re.escape(f"tau must be in [0, 1], got {tau!r}")):
+            classify_at_threshold(samples_from([(0.5, True)]), tau)
 
     def test_demo_fixture_at_half(self, demo_samples):
         c = classify_at_threshold(demo_samples, 0.5)
@@ -292,10 +312,10 @@ class TestScoredCsv:
         midpoints = [(a + b) / 2 for a, b in zip(scores, scores[1:])]
         # one walk over every breakpoint: each score, each midpoint, 0 and 1
         taus = sorted({0.0, 1.0, *scores, *midpoints})
-        matrices = samples.matrices_at(taus)
-        assert len(matrices) == len(taus)
-        for tau, matrix in zip(taus, matrices):
-            assert matrix == ConfusionMatrix(*oracles.classify_counts(pairs, tau))
+        runs = list(samples.runs_at(taus))
+        assert [i for start, end, _ in runs for i in range(start, end)] == list(range(len(taus)))
+        for start, end, counts in runs:
+            assert all(counts == oracles.classify_counts(pairs, tau) for tau in taus[start:end])
 
     @pytest.mark.parametrize("read", [read_scored_csv, lambda path: parse_scored_csv(path.read_bytes().decode().splitlines())],
                              ids=["bytes", "text"])

@@ -263,11 +263,12 @@ class TestThresholdSweep:
         assert [run_counts for start, end, run_counts in runs for _ in range(start, end)] == [
             oracles.classify_counts(pairs, tau) for tau in keys
         ]
-        # a sweep built from the walk is the series of its expanded matrices
+        # a sweep built from the walk is the series of the oracle's matrices
         curve = threshold_sweep(samples, *bounds, delta)
-        expanded = MetricSeries("tau", keys, samples.matrices_at(keys))
+        oracle = tuple(ConfusionMatrix(*oracles.classify_counts(pairs, tau)) for tau in keys)
+        expanded = MetricSeries("tau", keys, oracle)
         assert curve == expanded and hash(curve) == hash(expanded) and repr(curve) == repr(expanded)
-        assert curve.runs == expanded.runs and curve.matrices == samples.matrices_at(keys)
+        assert curve.runs == expanded.runs and curve.matrices == oracle
         twin = pickle.loads(pickle.dumps(curve))
         assert twin == expanded and twin.runs == expanded.runs and twin.matrices == expanded.matrices
 
