@@ -17,7 +17,6 @@ from .confusion import (
 )
 from .errors import (
     BadGridError,
-    CsvFormatError,
     DegeneratePopulationError,
     EmptyInputError,
     EmptyMatrixError,
@@ -53,7 +52,6 @@ from .sweep import (
     MetricSeries,
     OptimalThreshold,
     optimal_threshold,
-    read_curve_csv,
     threshold_sweep,
     write_curve_csv,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "BadGridError",
     "BasicRates",
     "ConfusionMatrix",
-    "CsvFormatError",
     "DegeneratePopulationError",
     "EmptyInputError",
     "EmptyMatrixError",
@@ -93,7 +90,6 @@ __all__ = [
     "optimal_threshold",
     "p4",
     "parse_scored_csv",
-    "read_curve_csv",
     "read_scored_csv",
     "scale_to_unit",
     "swap_labels",

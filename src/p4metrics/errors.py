@@ -44,6 +44,3 @@ class SampleParseError(P4MetricsError):
         super().__init__(f"line {line}: {message}")
         self.line = line
 
-
-class CsvFormatError(P4MetricsError):
-    """A metrics CSV file does not match the expected column layout."""

@@ -8,8 +8,7 @@ with one division each, MCC's closed form takes one division and one square
 root, J and MK are two rates minus 1, and a scaled metric is `(x + 1) / 2`.
 So results are bit-reproducible and exactly symmetric under label swapping.
 Each metric's declared range is given once, in `METRIC_RANGES`, which every
-returned `MetricValue` is checked against; the CSV readers instead check that
-each metric cell is the value `_closed_forms` gives for the row's counts.
+returned `MetricValue` is checked against.
 """
 
 from __future__ import annotations
@@ -67,7 +66,10 @@ def _closed_forms(tp: int, fp: int, fn: int, tn: int) -> tuple[float | None, ...
     prec, rec = _ratio(tp, tp + fp), _ratio(tp, tp + fn)
     spec, npv = _ratio(tn, tn + fp), _ratio(tn, tn + fn)
     radicand = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
-    corr = (tp * tn - fp * fn) / math.sqrt(radicand) if radicand else None
+    try:
+        corr = (tp * tn - fp * fn) / math.sqrt(radicand) if radicand else None
+    except OverflowError:  # a radicand past the float range; an int over an int rounds once
+        corr = (tp * tn - fp * fn) / math.isqrt(radicand)
     j = None if rec is None or spec is None else rec + spec - 1
     mk = None if prec is None or npv is None else prec + npv - 1
     p4_num = 4 * tp * tn
@@ -136,7 +138,8 @@ def mcc(c: ConfusionMatrix) -> MetricValue:
 
     MCC = (tp*tn - fp*fn) / sqrt((tp+fp)(tp+fn)(tn+fp)(tn+fn)).  Numerator
     and radicand are exact integers; the only float steps are one square root
-    and one division.  Undefined iff any of the four marginal sums is zero.
+    and one division, or past the float range one division by the integer
+    square root.  Undefined iff any of the four marginal sums is zero.
     """
     return _metrics(c, "mcc")[0]
 

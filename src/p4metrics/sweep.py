@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 import operator
 from itertools import chain, groupby, repeat
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import csvio
-from .confusion import ConfusionMatrix, ScoredSamples, _parse_number, _Record
-from .errors import BadGridError, CsvFormatError, NoDefinedPointsError
+from .confusion import ConfusionMatrix, ScoredSamples, _Record
+from .errors import BadGridError, NoDefinedPointsError
 
 PAIR_METRICS = ("f1", "p4")
 # Series key columns, each with whether its values may reach 0 and 1: a
@@ -154,12 +153,3 @@ def write_curve_csv(series: MetricSeries, out: TextIO) -> None:
     runs = ((map(repr, series.keys[start:end]), row) for start, end, row in series.runs)
     csvio.write_rows(out, runs, series.key_column)
 
-
-def read_curve_csv(path: str | Path) -> MetricSeries:
-    """Read a series CSV written by `write_curve_csv` back, losslessly, as
-    `csvio.read_rows` reads it; each metric cell must be the value its counts give."""
-    key_column, rows = csvio._read_rows(path, _parse_number)
-    if key_column not in KEY_COLUMNS:
-        raise CsvFormatError(f"expected a key column out of {tuple(KEY_COLUMNS)}, got {key_column!r}")
-    runs = _runs(values for _, _, values in rows)  # the reader's rows, equal exactly where their matrices are
-    return MetricSeries.__new__(MetricSeries)._build(key_column, tuple(key for key, _, _ in rows), runs)

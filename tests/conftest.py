@@ -1,14 +1,11 @@
 import csv
 import math
-from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from p4metrics import ConfusionMatrix, ScoredSamples, evaluate_all, read_scored_csv
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-DEMO_CSV = FIXTURES / "scored_demo.csv"
+from golden import DEMO_CSV, FIXTURES
 
 # frozen oracle results for fixtures/scored_demo.csv (computed with
 # tests/oracles.py before the library existed)
@@ -58,8 +55,9 @@ NON_UTF8_CSVS = {
 
 
 # spellings of a number that Python's int and float read but no writer produces,
-# each applied to a number's text, and whether the readers accept it: README,
-# "File formats", says a number is ASCII without `_`, and spaces round it are ignored
+# each applied to a number's text, and whether a score or an `eval --counts` count
+# may be so spelled: README, "File formats", says a number is ASCII without `_`,
+# and spaces round it are ignored
 NUMBER_SPELLINGS = {
     "underscore": (lambda text: text[:-1] + "_" + text[-1], False),
     "arabic-indic": (lambda text: chr(0x660 + int(text[0])) + text[1:], False),

@@ -1,11 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive and kept separate from the library:
-classification is a per-sample if/elif tally, a scored CSV is parsed one
-`csv.reader` row at a time, and metric values are computed with 50-digit
-Decimal arithmetic from the component rates (harmonic-mean route) instead of
-the integer closed forms the library uses.  Agreement between the two routes
-is the point of the tests.
+classification is a per-sample if/elif tally, a scored CSV or a metrics CSV
+is parsed one `csv.reader` row at a time, and metric values are computed with
+50-digit Decimal arithmetic from the component rates (harmonic-mean route)
+instead of the integer closed forms the library uses.  Agreement between the
+two routes is the point of the tests.
 """
 
 import csv
@@ -173,3 +173,19 @@ def parse_scored_rows(lines):
         if label_text.strip().lower() not in _LABELS:
             return "error", line, f"unknown label {label_text!r}"
         pairs.append((score, _LABELS[label_text.strip().lower()]))
+
+
+def read_metrics_csv(path):
+    """(key_column, keys, rows) of a metrics CSV the CLI or `csvio.write_rows` wrote,
+    read with `csv.reader`: the leading key column's name and its cells as text, both
+    None without one, and per line the four counts as ints then each metric as a
+    float, None for `nan`, so that a row compares equal to `csvio.row`'s values."""
+    with open(path, newline="") as fh:
+        header, *records = csv.reader(fh)
+    key_column = header[0] if header[0] != "tp" else None
+    keys = None if key_column is None else [record.pop(0) for record in records]
+    rows = [
+        (*map(int, record[:4]), *(None if text == "nan" else float(text) for text in record[4:]))
+        for record in records
+    ]
+    return key_column, keys, rows

@@ -224,11 +224,10 @@ def test_external_classifier_thresholds_are_out_of_scope(demo_samples):
 def test_cli_round_trip_and_error_statuses(capsys, tmp_path):
     path = tmp_path / "cases.csv"
     assert main(["cases", "--format", "csv", "--out", str(path)]) == 0
-    key_column, rows = csvio.read_rows(path)
+    key_column, keys, rows = oracles.read_metrics_csv(path)
     assert key_column == "case"
-    assert [key for key, _, _ in rows] == ["C1", "C2", "C3", "C4"]
-    for _, matrix, parsed_row in rows:
-        assert csvio.row(matrix) == parsed_row
+    assert keys == ["C1", "C2", "C3", "C4"]
+    assert rows == [csvio.row(row[:4]) for row in rows]
 
     empty = tmp_path / "empty.csv"
     empty.write_text("")

@@ -14,7 +14,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from p4metrics import ConfusionMatrix, confusion, csvio, read_curve_csv, svg, sweep, threshold_sweep
+from p4metrics import ConfusionMatrix, confusion, csvio, svg, sweep, threshold_sweep
 from p4metrics.cli import main
 from p4metrics.metrics import METRIC_NAMES
 from p4metrics.sweep import make_grid
@@ -107,12 +107,14 @@ class TestEval:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
-    def test_counts_too_large_for_a_float_exit_2(self, capsys):
-        huge = str(10**84)
-        rc, out, err = run_cli(capsys, "eval", "--counts", f"{huge},5,5,{huge}")
-        assert rc == 2
-        assert out == ""
-        assert err.startswith("p4metrics: error: ") and err.count("\n") == 1
+    @pytest.mark.parametrize("form", ["table", "csv", "json"])
+    def test_counts_past_the_float_range_exit_0(self, capsys, form):
+        # MCC's radicand, about 4e321, is past the float range, yet every metric is defined
+        counts = (10**80, 3 * 10**79, 10**79, 5 * 10**80)
+        rc, out, err = run_cli(capsys, "eval", "--counts", ",".join(map(str, counts)), "--format", form)
+        assert (rc, err) == (0, "")
+        if form == "json":
+            assert abs(json.loads(out)["metrics"]["mcc"] - float(oracles.mcc(*counts))) <= 1e-15
 
     def test_oversized_score_field_exits_2(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
@@ -181,10 +183,9 @@ class TestEval:
             capsys, "eval", "--counts", "45,995,5,8955", "--format", "csv", "--out", str(path)
         )
         assert rc == 0
-        key_column, rows = csvio.read_rows(path)
-        assert key_column is None
-        [(_, matrix, row)] = rows
-        assert csvio.row(matrix) == row
+        key_column, keys, rows = oracles.read_metrics_csv(path)
+        assert key_column is keys is None
+        assert rows == [csvio.row(ConfusionMatrix(45, 995, 5, 8955))]
 
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.txt"
@@ -209,11 +210,10 @@ class TestCases:
         path = tmp_path / "cases.csv"
         rc, _, _ = run_cli(capsys, "cases", "--format", "csv", "--out", str(path))
         assert rc == 0
-        key_column, rows = csvio.read_rows(path)
+        key_column, keys, rows = oracles.read_metrics_csv(path)
         assert key_column == "case"
-        assert [key for key, _, _ in rows] == ["C1", "C2", "C3", "C4"]
-        for _, matrix, parsed_row in rows:
-            assert csvio.row(matrix) == parsed_row
+        assert keys == ["C1", "C2", "C3", "C4"]
+        assert rows == [csvio.row(row[:4]) for row in rows]
 
     def test_json_matches_csv(self, capsys):
         rc, csv_out, _ = run_cli(capsys, "cases", "--format", "csv")
@@ -236,10 +236,10 @@ class TestSimulate:
             "--tpr", "0.1", "--tnr", "0.1", "--out", str(path),
         )
         assert rc == 0
-        key_column, rows = csvio.read_rows(path)
+        key_column, _, rows = oracles.read_metrics_csv(path)
         assert key_column == "pos_fraction"
         assert len(rows) == 99
-        assert all(f"{cell(row, 'j_scaled'):.4f}" == "0.1000" for _, _, row in rows)
+        assert all(f"{cell(row, 'j_scaled'):.4f}" == "0.1000" for row in rows)
 
     def test_tpr_endpoint_gap(self, capsys, tmp_path):
         path = tmp_path / "tpr.csv"
@@ -248,8 +248,7 @@ class TestSimulate:
             "--pos", "0.95", "--tnr", "0.8", "--out", str(path),
         )
         assert rc == 0
-        _, rows = csvio.read_rows(path)
-        _, _, row = rows[-1]
+        row = oracles.read_metrics_csv(path)[2][-1]
         assert abs((cell(row, "f1") - cell(row, "mcc_scaled")) - 0.05) <= 0.006
 
     def test_svg_output(self, capsys, tmp_path):
@@ -318,7 +317,10 @@ class TestSweep:
         )
         assert rc == 0
         assert "optimal tau (mcc-p4) = 0.55" in stdout
-        assert read_curve_csv(out) == threshold_sweep(demo_samples)
+        curve = threshold_sweep(demo_samples)
+        key_column, keys, rows = oracles.read_metrics_csv(out)
+        assert (key_column, tuple(map(float, keys))) == ("tau", curve.keys)
+        assert rows == [row for start, end, row in curve.runs for _ in range(start, end)]
 
     def test_single_pair_stdout(self, capsys):
         rc, out, _ = run_cli(capsys, "sweep", "--file", str(DEMO_CSV), "--pair", "mcc-f1")
@@ -744,6 +746,7 @@ def test_the_cli_agrees_with_the_oracles(scored_path, text, tau, delta, split_by
         assert not curve.exists()
         return
     assert swept == (0, "".join(lines.values()), "")
-    series = read_curve_csv(curve)
-    assert series.keys == keys
-    assert [(m.tp, m.fp, m.fn, m.tn) for m in series.matrices] == [oracles.classify_counts(pairs, k) for k in keys]
+    key_column, written_keys, rows = oracles.read_metrics_csv(curve)
+    assert (key_column, tuple(map(float, written_keys))) == ("tau", keys)
+    assert [row[:4] for row in rows] == [oracles.classify_counts(pairs, k) for k in keys]
+    assert rows == [csvio.row(row[:4]) for row in rows]

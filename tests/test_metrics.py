@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from p4metrics import (
     ConfusionMatrix,
@@ -134,6 +134,18 @@ class TestMcc:
         c = ConfusionMatrix(10**6, 10**6 - 1, 10**6 + 1, 10**6)
         value = mcc(c).value
         assert -1.0 <= value <= 1.0
+
+    # past marginals of about 1e77 the radicand leaves the float range
+    @settings(max_examples=300)
+    @given(matrices(max_count=10**100))
+    @example(ConfusionMatrix(10**80, 1, 1, 10**80))
+    @example(ConfusionMatrix(10**100, 0, 10**100, 1))
+    def test_huge_counts_match_the_decimal_oracle(self, c):
+        want = oracles.mcc(c.tp, c.fp, c.fn, c.tn)
+        value = mcc(c).value
+        assert (value is None) == (want is None)
+        if want is not None:
+            assert abs(value - float(want)) <= 1e-15
 
 
 class TestScaleToUnit:

@@ -58,10 +58,7 @@ def test_python_examples_run(readme_dir):
 def test_qualified_names_resolve():
     # bare names, as in the paragraphs on names gone with no alias, are not matched
     names = set(re.findall(r"`(p4metrics(?:\.\w+)+)`", README.read_text()))
-    assert names == {
-        "p4metrics.csvio.read_rows", "p4metrics.metrics.METRIC_RANGES", "p4metrics.read_curve_csv",
-        "p4metrics.simulate", "p4metrics.sweep.MAX_GRID_SIZE",
-    }
+    assert names == {"p4metrics.metrics.METRIC_RANGES", "p4metrics.simulate", "p4metrics.sweep.MAX_GRID_SIZE"}
     for name in sorted(names):
         try:
             importlib.import_module(name)

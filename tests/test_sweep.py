@@ -3,7 +3,6 @@ import io
 import math
 import pickle
 import re
-import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from unittest.mock import patch
@@ -14,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 from p4metrics import (
     BadGridError,
     ConfusionMatrix,
-    CsvFormatError,
     EmptyInputError,
     MetricSeries,
     NoDefinedPointsError,
@@ -22,7 +20,6 @@ from p4metrics import (
     classify_at_threshold,
     evaluate_all,
     optimal_threshold,
-    read_curve_csv,
     threshold_sweep,
     tpr_sweep,
     write_curve_csv,
@@ -30,7 +27,7 @@ from p4metrics import (
 from p4metrics import confusion, csvio, sweep
 from p4metrics.metrics import METRIC_NAMES
 from p4metrics.sweep import _decimal_ratio, make_grid
-from conftest import DEMO_BEST, DEMO_COUNTS_AT_HALF, FIXTURES, NUMBER_SPELLINGS, float_distance, samples_from, unit_floats
+from conftest import DEMO_BEST, DEMO_COUNTS_AT_HALF, float_distance, samples_from, unit_floats
 import oracles
 
 SEPARABLE = samples_from([(0.9, True), (0.2, False)])
@@ -43,6 +40,17 @@ def key_rows(series):
 
 def cell(row, name):
     return row[csvio.COLUMNS.index(name)]
+
+
+def assert_round_trips(series, path):
+    """Write `series` to `path` as its curve CSV and check that the oracle reader reads back its key
+    column, its keys and, bit for bit, the row of each key's run, which is `csvio.row` of its counts."""
+    with open(path, "w", newline="") as fh:
+        write_curve_csv(series, fh)
+    key_column, keys, rows = oracles.read_metrics_csv(path)
+    assert (key_column, tuple(map(float, keys))) == (series.key_column, series.keys)
+    assert rows == key_rows(series) == [csvio.row(row[:4]) for row in rows]
+    return rows
 
 
 @st.composite
@@ -288,11 +296,12 @@ class TestThresholdSweep:
         # the runs tile the keys in order, each with the row of its matrix
         starts, ends, rows = zip(*curve.runs)
         assert starts == (0, *ends[:-1]) and ends[-1] == len(curve.keys)
-        assert rows == tuple(csvio.row(curve.matrices[start]) for start in starts)
+        matrices = curve.matrices  # each read expands the runs to all 10,001 keys
+        assert rows == tuple(csvio.row(matrices[start]) for start in starts)
         # neighbours share a run exactly when their matrices are equal
         run_of = [index for index, (start, end, _) in enumerate(curve.runs) for _ in range(start, end)]
         for i in range(len(curve.keys) - 1):
-            assert (run_of[i] == run_of[i + 1]) == (curve.matrices[i] == curve.matrices[i + 1])
+            assert (run_of[i] == run_of[i + 1]) == (matrices[i] == matrices[i + 1])
 
     @pytest.mark.parametrize("tau0, tau_n", [(0.0, 1.0), (0.25, 0.75)])
     def test_counts_once_per_run_of_taus(self, demo_samples, monkeypatch, tau0, tau_n):
@@ -421,16 +430,7 @@ class TestMetricSeries:
 
 class TestCurveCsv:
     def test_round_trip_is_lossless(self, demo_samples, tmp_path):
-        curve = threshold_sweep(demo_samples, delta=0.05)
-        buffer = io.StringIO()
-        write_curve_csv(curve, buffer)
-        path = tmp_path / "curve.csv"
-        path.write_text(buffer.getvalue())
-
-        parsed = read_curve_csv(path)
-        assert parsed.keys == curve.keys
-        assert parsed.matrices == curve.matrices
-        assert key_rows(parsed) == key_rows(curve)
+        assert_round_trips(threshold_sweep(demo_samples, delta=0.05), tmp_path / "curve.csv")
 
     def test_shared_points_write_the_bytes_of_row_by_row_formatting(self, demo_samples):
         curve = threshold_sweep(demo_samples, delta=0.0001)
@@ -487,303 +487,11 @@ class TestCurveCsv:
             csvio.write_rows(buffer, runs, key_column)
             assert buffer.getvalue() == written
 
-    def test_read_back_curve_shares_points_like_the_sweep(self, demo_samples, tmp_path):
-        curve = threshold_sweep(demo_samples)
-        path = tmp_path / "curve.csv"
-        with open(path, "w", newline="") as fh:
-            write_curve_csv(curve, fh)
-        parsed = read_curve_csv(path)
-        assert parsed == curve
-        assert len(curve.runs) == 84
-        assert parsed.runs == curve.runs
-        for y_name in ("f1", "p4"):
-            assert optimal_threshold(parsed, y_name) == optimal_threshold(curve, y_name)
-
-    def test_read_back_evaluates_each_run_once_per_pass(self, demo_samples, tmp_path, monkeypatch):
-        curve = threshold_sweep(demo_samples, delta=0.0001)
-        path = tmp_path / "curve.csv"
-        with open(path, "w", newline="") as fh:
-            write_curve_csv(curve, fh)
-        calls = 0
-        closed_forms = csvio._closed_forms
-
-        def counted(*counts):
-            nonlocal calls
-            calls += 1
-            return closed_forms(*counts)
-
-        monkeypatch.setattr(csvio, "_closed_forms", counted)
-        assert read_curve_csv(path) == curve
-        # once, where the reader checks a run's cells; the series takes that row
-        assert calls == len(curve.runs) == 169
-
     def test_undefined_round_trips_as_nan(self, tmp_path):
-        curve = threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5)
-        buffer = io.StringIO()
-        write_curve_csv(curve, buffer)
-        text = buffer.getvalue()
-        assert "nan" in text  # tau = 1.0 row has undefined MCC
         path = tmp_path / "curve.csv"
-        path.write_text(text)
-        parsed = read_curve_csv(path)
-        assert cell(key_rows(parsed)[-1], "mcc") is None
-
-    def test_non_increasing_keys_rejected(self, tmp_path):
-        buffer = io.StringIO()
-        write_curve_csv(threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5), buffer)
-        header, *rows = buffer.getvalue().splitlines(keepends=True)
-        path = tmp_path / "curve.csv"
-        path.write_text(header + rows[1] + rows[0] + rows[2])
-        with pytest.raises(BadGridError):
-            read_curve_csv(path)
+        rows = assert_round_trips(threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5), path)
+        assert "nan" in path.read_text()
+        assert cell(rows[-1], "mcc") is None  # tau = 1.0 row has undefined MCC
 
     def test_simulation_series_round_trips(self, tmp_path):
-        series = tpr_sweep(1000, 0.3, 0.9)
-        buffer = io.StringIO()
-        write_curve_csv(series, buffer)
-        path = tmp_path / "tpr.csv"
-        path.write_text(buffer.getvalue())
-        assert read_curve_csv(path) == series
-
-    def test_case_keyed_csv_rejected(self, tmp_path):
-        path = tmp_path / "cases.csv"
-        with open(path, "w") as fh:
-            csvio.write_rows(fh, [(("C1",), csvio.row(ConfusionMatrix(1, 2, 3, 4)))], key_column="case")
-        with pytest.raises(CsvFormatError, match="^line 2: bad value 'C1' for case$"):
-            read_curve_csv(path)
-
-    @pytest.mark.parametrize("keys, key_column", [
-        ([""], None),
-        (["0.25", "0.5"], "case"),
-    ], ids=["no-key-column", "numeric-cases"])
-    def test_a_csv_without_a_series_key_column_is_rejected(self, tmp_path, keys, key_column):
-        # the `cases` and `eval --format csv` layouts are not series
-        values = csvio.row(ConfusionMatrix(1, 2, 3, 4))
-        path = tmp_path / "cases.csv"
-        with open(path, "w") as fh:
-            csvio.write_rows(fh, [(keys, values)], key_column=key_column)
-        message = rf"^expected a key column out of \('tau', 'pos_fraction', 'tpr'\), got {key_column!r}$"
-        with pytest.raises(CsvFormatError, match=message):
-            read_curve_csv(path)
-
-    def test_quoted_newline_keeps_physical_line_numbers(self, tmp_path):
-        header = ",".join(("case", *csvio.COLUMNS))
-        cells = csvio.cells(csvio.row(ConfusionMatrix(1, 2, 3, 4)))
-        path = tmp_path / "cases.csv"
-        # the key "C\n1" is quoted across lines 2-3, so the bad row is on line 4
-        path.write_bytes(f'{header}\n"C\n1",{cells}\nC2,1\n'.encode())
-        assert path.read_text().split("\n")[3] == "C2,1"
-        with pytest.raises(CsvFormatError, match="line 4: expected"):
-            csvio.read_rows(path)
-
-    def test_a_bad_record_is_named_by_the_line_it_starts_on(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        header = ",".join(("tau", *csvio.COUNT_COLUMNS, *METRIC_NAMES))
-        # the record '0.5,"maybe\n"' spans lines 2-3
-        path.write_text(f'{header}\n0.5,"maybe\n"\n0.4,1\n')
-        with pytest.raises(CsvFormatError, match="^line 2: expected 17 fields, got 2$"):
-            csvio.read_rows(path)
-
-    @pytest.mark.parametrize(
-        "bad_cells, message",
-        [
-            ({"tau": "half"}, "bad value 'half' for tau"),
-            ({"prec": "1.5"}, "prec 1.5 does not match its counts, which give nan"),
-            ({"prec": "-0.5"}, "prec -0.5 does not match its counts, which give nan"),
-            ({"prec": "inf"}, "prec inf does not match its counts, which give nan"),
-            ({"mcc": "-1.5"}, "mcc -1.5 does not match its counts, which give nan"),
-            ({"tn": "-1"}, "tn must be non-negative, got -1"),
-            ({"fn": "0", "tn": "0"}, "all four counts are zero"),
-            ({"tp": "9" * 85, "tn": "9" * 85}, "int too large to convert to float"),
-        ],
-        ids=[
-            "key", "rate-above-1", "rate-below-0", "rate-inf", "signed-below-minus-1", "negative-count", "zero-counts",
-            "counts-too-large",
-        ],
-    )
-    def test_a_bad_cell_is_named_by_the_line_it_starts_on(self, tmp_path, bad_cells, message):
-        buffer = io.StringIO()
-        write_curve_csv(threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5), buffer)
-        header, first, second, third = buffer.getvalue().splitlines(keepends=True)
-        columns = header.rstrip("\n").split(",")
-        cells = third.rstrip("\n").split(",")
-        for column, text in bad_cells.items():
-            cells[columns.index(column)] = text
-        path = tmp_path / "curve.csv"
-        # the key "0.5\n" is quoted across lines 3-4, so the bad record starts on line 5
-        path.write_text(header + first + '"0.5\n"' + second[3:] + ",".join(cells) + "\n")
-        with pytest.raises(CsvFormatError, match=f"^line 5: {re.escape(message)}$"):
-            read_curve_csv(path)
-
-    def test_a_metric_cell_its_counts_do_not_give_is_rejected(self, demo_samples, tmp_path):
-        buffer = io.StringIO()
-        write_curve_csv(threshold_sweep(demo_samples), buffer)
-        *lines, last = buffer.getvalue().splitlines(keepends=True)
-        cells = last.rstrip("\n").split(",")
-        assert cells[:5] == ["1.0", "0", "0", "60", "140"]
-        columns = lines[0].rstrip("\n").split(",")
-        cells[columns.index("prec")], cells[columns.index("mcc")] = "0.25", "0.9"
-        path = tmp_path / "curve.csv"
-        path.write_text("".join(lines) + ",".join(cells) + "\n")
-        with pytest.raises(CsvFormatError, match="^line 102: prec 0.25 does not match its counts, which give nan$"):
-            read_curve_csv(path)
-        cells[columns.index("prec")] = "nan"  # the next cell off its counts is named next
-        path.write_text("".join(lines) + ",".join(cells) + "\n")
-        with pytest.raises(CsvFormatError, match="^line 102: mcc 0.9 does not match its counts, which give nan$"):
-            read_curve_csv(path)
-
-    def test_a_defined_value_written_as_nan_is_rejected(self, tmp_path):
-        buffer = io.StringIO()
-        write_curve_csv(threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5), buffer)
-        path = tmp_path / "curve.csv"
-        path.write_text(buffer.getvalue().replace("0.5,1,0,0,1,1.0,", "0.5,1,0,0,1,nan,"))
-        with pytest.raises(CsvFormatError, match="^line 3: prec nan does not match its counts, which give 1.0$"):
-            read_curve_csv(path)
-
-    def test_header_only_file_is_an_empty_grid(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        path.write_text(",".join(("tau", *csvio.COLUMNS)) + "\n")
-        with pytest.raises(BadGridError, match="^empty grid$"):
-            read_curve_csv(path)
-
-    # 226,041 bytes, about 14 blocks of 16 KiB; the late-cr file ends its first 500 lines (109 KB) in LF and the rest in CR
-    @pytest.mark.parametrize("read", [read_curve_csv, csvio.read_rows], ids=["curve", "rows"])
-    @pytest.mark.parametrize("form", ["lf", "crlf", "cr", "late-cr", "bom"])
-    def test_a_byte_order_mark_is_skipped(self, demo_samples, tmp_path, read, form):
-        curve = threshold_sweep(demo_samples, delta=0.001)
-        buffer = io.StringIO()
-        write_curve_csv(curve, buffer)
-        lines = buffer.getvalue().splitlines()
-        text = {
-            "lf": "\n".join(lines) + "\n",
-            "crlf": "\r\n".join(lines) + "\r\n",
-            "cr": "\r".join(lines) + "\r",
-            "late-cr": "\n".join(lines[:500]) + "\n" + "\r".join(lines[500:]) + "\r",
-            "bom": "\ufeff" + "\n".join(lines) + "\n",
-        }[form]
-        lf_path, path = tmp_path / "lf.csv", tmp_path / "curve.csv"
-        lf_path.write_bytes(buffer.getvalue().encode())
-        path.write_bytes(text.encode())
-        assert len(lf_path.read_bytes()) == 226_041
-        assert path.read_bytes().startswith(b"\xef\xbb\xbftau," if form == "bom" else b"tau,")
-        result = read(path)
-        assert result == read(lf_path)
-        if read is read_curve_csv:
-            assert result == curve
-
-    @pytest.mark.parametrize("read", [read_curve_csv, csvio.read_rows], ids=["curve", "rows"])
-    def test_a_line_with_no_end_is_not_held_whole(self, tmp_path, read):
-        path = tmp_path / "curve.csv"
-        path.write_text(",".join(("tau", *csvio.COLUMNS)) + "\n0.5," + "0" * (1 << 20))
-        limit = csv.field_size_limit(24)
-        tracemalloc.start()
-        try:
-            with pytest.raises(CsvFormatError, match=r"^line 2: field larger than field limit \(24\)$"):
-                read(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            csv.field_size_limit(limit)
-        assert peak < 256 << 10  # a block and its lines, not the 1 MiB line
-
-    def test_rows_reader_rejects_an_empty_file(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        path.write_text("")
-        with pytest.raises(CsvFormatError, match="^file is empty$"):
-            csvio.read_rows(path)
-
-    def test_rows_reader_rejects_an_unexpected_header(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        path.write_text("score,label\n0.5,1\n")
-        with pytest.raises(CsvFormatError, match="^unexpected header"):
-            csvio.read_rows(path)
-
-    def test_rows_reader_rejects_counts_that_are_not_integers(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        with open(path, "w") as fh:
-            csvio.write_rows(fh, [(("C1",), csvio.row(ConfusionMatrix(1, 2, 3, 4)))], key_column="case")
-        path.write_text(path.read_text().replace("C1,1,2,", "C1,1.5,2,"))
-        with pytest.raises(CsvFormatError, match=r"^line 2: bad counts \['1.5', '2', '3', '4'\]$"):
-            csvio.read_rows(path)
-
-    def test_rows_reader_skips_a_blank_line(self, demo_samples, tmp_path):
-        curve = threshold_sweep(demo_samples)
-        buffer = io.StringIO()
-        write_curve_csv(curve, buffer)
-        lines = buffer.getvalue().splitlines(keepends=True)
-        path = tmp_path / "curve.csv"
-        path.write_text("".join(lines[:50]) + "\n" + "".join(lines[50:]))
-        assert read_curve_csv(path) == curve
-        key_column, rows = csvio.read_rows(path)
-        assert key_column == "tau" and len(rows) == len(curve.keys)
-
-    @pytest.mark.parametrize("read", [read_curve_csv, csvio.read_rows], ids=["curve", "rows"])
-    @pytest.mark.parametrize("column", ["tau", "prec"])
-    def test_a_byte_that_is_not_utf8_in_a_cell_is_line_numbered(self, demo_samples, tmp_path, read, column):
-        buffer = io.StringIO()
-        write_curve_csv(threshold_sweep(demo_samples, delta=0.001), buffer)
-        lines = buffer.getvalue().encode().splitlines(keepends=True)
-        columns = lines[0].decode().rstrip("\n").split(",")
-        cells = lines[94].split(b",")
-        text = cells[columns.index(column)].decode()
-        cells[columns.index(column)] = b"\xff" + cells[columns.index(column)]
-        lines[94] = b",".join(cells)
-        path = tmp_path / "curve.csv"
-        path.write_bytes(b"".join(lines))
-        assert len(b"".join(lines[:94])) > 8192  # past the decoder's first buffer
-        with pytest.raises(CsvFormatError, match=rf"^line 95: bad value '\\udcff{re.escape(text)}' for {column}$"):
-            read(path)
-
-    # the record starts on line 3 either way: in the second, the quoted key spans lines 3-4
-    @pytest.mark.parametrize(
-        "key, shown", [(b"C\xff2", r"C\\udcff2"), (b'"C\n\xff2"', r"C\\n\\udcff2")], ids=["one-line", "two-line"]
-    )
-    def test_a_byte_that_is_not_utf8_in_a_key_is_line_numbered(self, tmp_path, key, shown):
-        golden = (FIXTURES / "golden" / "cases.csv").read_bytes()
-        path = tmp_path / "cases.csv"
-        path.write_bytes(golden.replace(b"\nC2,", b"\n" + key + b",", 1))
-        with pytest.raises(CsvFormatError, match=f"^line 3: bad value '{shown}' for case$"):
-            csvio.read_rows(path)
-
-    @pytest.mark.parametrize("read", [read_curve_csv, csvio.read_rows], ids=["curve", "rows"])
-    @pytest.mark.parametrize(
-        "header, message",
-        [(b"t\xffau,", r"^line 1: bad value 't\\udcffau' for key column$"), (b"tau,t\xffp,", "^unexpected header")],
-        ids=["key-column", "count-column"],
-    )
-    def test_a_byte_that_is_not_utf8_in_the_header_is_rejected(self, tmp_path, read, header, message):
-        buffer = io.StringIO()
-        write_curve_csv(threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5), buffer)
-        path = tmp_path / "curve.csv"
-        path.write_bytes(buffer.getvalue().encode().replace(header.replace(b"\xff", b""), header, 1))
-        with pytest.raises(CsvFormatError, match=message):
-            read(path)
-
-    @pytest.mark.parametrize("spelling", NUMBER_SPELLINGS)
-    @pytest.mark.parametrize("read, golden, column", [
-        (csvio.read_rows, "cases.csv", "tp"),
-        (read_curve_csv, "sweep_demo.csv", "tau"),
-        (read_curve_csv, "sweep_demo.csv", "prec"),
-    ], ids=["count", "key", "metric"])
-    def test_a_number_spelling_is_rejected_or_read_as_documented(self, tmp_path, read, golden, column, spelling):
-        spell, accepted = NUMBER_SPELLINGS[spelling]
-        golden = FIXTURES / "golden" / golden
-        header, first, second, *rest = golden.read_text().splitlines(keepends=True)
-        cells = second.rstrip("\n").split(",")
-        index = header.rstrip("\n").split(",").index(column)
-        cells[index] = spelled = spell(cells[index])  # C2's tp 8955, or tau 0.01 and its prec
-        path = tmp_path / golden.name
-        path.write_text(header + first + ",".join(cells) + "\n" + "".join(rest), encoding="utf-8")
-        if accepted:
-            assert read(path) == read(golden)
-        else:
-            with pytest.raises(CsvFormatError, match=f"^line 3: bad (counts|value) .*{re.escape(repr(spelled))}"):
-                read(path)
-
-    def test_oversized_field_rejected(self, tmp_path):
-        buffer = io.StringIO()
-        write_curve_csv(threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5), buffer)
-        path = tmp_path / "curve.csv"
-        path.write_text(buffer.getvalue() + "0." + "1" * 200_000 + ",1\n")
-        with pytest.raises(CsvFormatError, match="line 5"):
-            read_curve_csv(path)
+        assert_round_trips(tpr_sweep(1000, 0.3, 0.9), tmp_path / "tpr.csv")
