@@ -14,13 +14,16 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from p4metrics import ConfusionMatrix, confusion, csvio, svg, sweep, threshold_sweep
+from p4metrics import (
+    ConfusionMatrix, MetricSeries, confusion, csvio, read_scored_csv, simulate, svg, sweep, threshold_sweep,
+)
 from p4metrics.cli import main
 from p4metrics.metrics import METRIC_NAMES
 from p4metrics.sweep import make_grid
 from conftest import (
     DEMO_CSV, FIXTURES, NON_UTF8_CSVS, NUMBER_SPELLINGS, QUOTINGS, float_distance, scored_csv_texts, unit_floats,
 )
+import golden
 import oracles
 
 
@@ -115,6 +118,30 @@ class TestEval:
         assert (rc, err) == (0, "")
         if form == "json":
             assert abs(json.loads(out)["metrics"]["mcc"] - float(oracles.mcc(*counts))) <= 1e-15
+
+    # every metric is a ratio of forms of one degree in the counts, so each case scaled by 10**80
+    # reports as the case itself, though MCC's radicand then leaves the float range
+    @pytest.mark.parametrize("form", ["table", "csv", "json"])
+    @pytest.mark.parametrize("case", sorted(golden.CASES))
+    def test_a_case_scaled_past_the_float_range_reports_as_the_case(self, capsys, case, form):
+        (rc, small, _), (huge_rc, huge, err) = (
+            run_cli(capsys, "eval", "--counts", ",".join(str(n * scale) for n in golden.CASES[case]), "--format", form)
+            for scale in (1, 10**80)
+        )
+        assert (rc, huge_rc, err) == (0, 0, "")
+        if form == "table":  # all but the line of counts
+            assert huge.split("\n", 1)[1] == small.split("\n", 1)[1]
+            return
+        if form == "csv":
+            [header, small_cells], [_, huge_cells] = csv.reader(small.splitlines()), csv.reader(huge.splitlines())
+            small_metrics, huge_metrics = (
+                dict(zip(header[4:], map(float, cells[4:]))) for cells in (small_cells, huge_cells)
+            )
+        else:
+            small_metrics, huge_metrics = json.loads(small)["metrics"], json.loads(huge)["metrics"]
+        assert list(huge_metrics) == list(small_metrics) == list(METRIC_NAMES)
+        for name, value in small_metrics.items():
+            assert abs(huge_metrics[name] - value) <= 1e-15, name
 
     def test_oversized_score_field_exits_2(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
@@ -297,6 +324,21 @@ class TestSimulate:
         assert out == ""
         assert "--svg" in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+
+# a series CSV the CLI writes holds every key and count its series has
+@pytest.mark.parametrize("argv, build", [
+    (("sweep", "--file", str(DEMO_CSV)), lambda: threshold_sweep(read_scored_csv(DEMO_CSV))),
+    (("simulate", "balance", "--tpr", "0.9", "--tnr", "0.8"), lambda: simulate.balance_sweep(10_000, 0.9, 0.8)),
+    (("simulate", "tpr", "--pos", "0.05", "--tnr", "0.8"), lambda: simulate.tpr_sweep(10_000, 0.05, 0.8)),
+], ids=["sweep", "balance", "tpr"])
+def test_a_written_series_rebuilds_to_the_library_series(capsys, tmp_path, argv, build):
+    path = tmp_path / "series.csv"
+    assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+    key_column, keys, rows = oracles.read_metrics_csv(path)
+    series = MetricSeries(key_column, tuple(map(float, keys)), tuple(ConfusionMatrix(*row[:4]) for row in rows))
+    assert series == build()
+    assert series.runs == build().runs
 
 
 class TestSweep:

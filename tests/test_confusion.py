@@ -8,6 +8,7 @@ import re
 import signal
 import threading
 import time
+import tracemalloc
 from unittest.mock import patch
 
 import pytest
@@ -394,6 +395,37 @@ class TestScoredCsv:
         with pytest.raises(SampleParseError, match=r"^line 3: field larger than field limit \(131072\)$"):
             confusion._parse(confusion._byte_lines(EndlessLine()), confusion._decoded)
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("end", LINE_ENDS, ids=["lf", "crlf", "cr"])
+    def test_a_line_with_no_end_is_not_held_whole(self, tmp_path, end):
+        path = tmp_path / "endless.csv"
+        path.write_bytes(f"score,label{end}0.5,1{end}0.".encode() + b"1" * (1 << 20))
+        limit = csv.field_size_limit(24)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SampleParseError, match=r"^line 3: field larger than field limit \(24\)$"):
+                read_scored_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            csv.field_size_limit(limit)
+        assert peak < 256 << 10  # a block and its lines, not the 1 MiB line
+
+    # a record is 2 fields of at most the limit's 4-byte characters, a comma between and a CRLF
+    @pytest.mark.parametrize("limit, block_bytes", [(24, 16), (1000, 64), (131_072, 16_384)])
+    def test_a_carried_line_is_cut_once_longer_than_a_record_can_be(self, limit, block_bytes):
+        longest = 2 * (4 * limit + 1) + 1
+        data = b"score,label\n" + b"0" * (4 * longest)
+        fh = io.BytesIO(data)
+        saved = csv.field_size_limit(limit)
+        try:
+            with patch.object(confusion, "_BLOCK_BYTES", block_bytes):
+                lines = confusion._byte_lines(fh)
+                assert next(lines) == [b"score,label\n"]
+                [cut] = next(lines)  # the first part of line 2 given out, before the file's end
+        finally:
+            csv.field_size_limit(saved)
+        assert longest < len(cut) <= longest + block_bytes and fh.tell() < len(data)
 
     @pytest.mark.parametrize("header", ["score," + "x" * 200_000, '"score\n' + "x" * 200_000 + '",label'],
                              ids=["one-line", "two-line"])

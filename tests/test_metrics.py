@@ -199,6 +199,34 @@ class TestEvaluateAll:
         }
         assert singles == report.as_dict()
 
+    # counts past the float range, where MCC's radicand overflows a float and every other field's
+    # integer closed form still rounds once
+    @pytest.mark.parametrize("name", METRIC_NAMES)
+    @settings(max_examples=100)
+    @given(c=matrices(max_count=10**100))
+    @example(c=ConfusionMatrix(10**80, 1, 1, 10**80))
+    @example(c=ConfusionMatrix(10**100, 0, 10**100, 1))
+    def test_each_field_matches_the_decimal_oracle_at_huge_counts(self, name, c):
+        want = oracles.report(c.tp, c.fp, c.fn, c.tn)[METRIC_NAMES.index(name)]
+        value = getattr(evaluate_all(c), name)
+        assert value.is_defined == (want is not None)
+        if want is not None:
+            assert abs(value.value - float(want)) <= 1e-15
+
+    # every metric is a ratio of forms of one degree in the counts, so scaling them keeps it, up
+    # to MCC's rounding of its radicand to a float and its square root; 10**77 and up overflow it
+    @pytest.mark.parametrize("exponent", [1, 38, 76, 77, 100])
+    @settings(max_examples=100)
+    @given(c=matrices())
+    def test_scaling_the_counts_keeps_every_field(self, exponent, c):
+        scale = 10**exponent
+        scaled = evaluate_all(ConfusionMatrix(c.tp * scale, c.fp * scale, c.fn * scale, c.tn * scale))
+        for name, value in evaluate_all(c).as_dict().items():
+            got = getattr(scaled, name)
+            assert got.is_defined == value.is_defined, name
+            if value.is_defined:
+                assert abs(got.value - value.value) <= 1e-15, name
+
     @given(matrices())
     def test_scaled_fields_match_raw(self, c):
         report = evaluate_all(c)

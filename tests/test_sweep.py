@@ -27,7 +27,7 @@ from p4metrics import (
 from p4metrics import confusion, csvio, sweep
 from p4metrics.metrics import METRIC_NAMES
 from p4metrics.sweep import _decimal_ratio, make_grid
-from conftest import DEMO_BEST, DEMO_COUNTS_AT_HALF, float_distance, samples_from, unit_floats
+from conftest import DEMO_BEST, DEMO_COUNTS_AT_HALF, float_distance, matrices, samples_from, unit_floats
 import oracles
 
 SEPARABLE = samples_from([(0.9, True), (0.2, False)])
@@ -51,6 +51,25 @@ def assert_round_trips(series, path):
     assert (key_column, tuple(map(float, keys))) == (series.key_column, series.keys)
     assert rows == key_rows(series) == [csvio.row(row[:4]) for row in rows]
     return rows
+
+
+def rebuilt(key_column, keys, rows):
+    """The MetricSeries of `keys` and of a matrix per row's counts, by the public constructor a caller
+    uses to make a series again from the columns `oracles.read_metrics_csv` reads from a curve CSV."""
+    return MetricSeries(key_column, tuple(keys), tuple(ConfusionMatrix(*row[:4]) for row in rows))
+
+
+def read_back(path):
+    """The series `rebuilt` from the curve CSV at `path`, its keys read as floats."""
+    key_column, keys, rows = oracles.read_metrics_csv(path)
+    return rebuilt(key_column, map(float, keys), rows)
+
+
+def written(series, path):
+    """`path`, with the curve CSV of `series` written to it."""
+    with open(path, "w", newline="") as fh:
+        write_curve_csv(series, fh)
+    return path
 
 
 @st.composite
@@ -486,6 +505,84 @@ class TestCurveCsv:
             buffer = io.StringIO()
             csvio.write_rows(buffer, runs, key_column)
             assert buffer.getvalue() == written
+
+    # each layout the CLI writes: `eval`'s, with no key column, `cases`' and the three series'
+    @pytest.mark.parametrize("key_column", [None, "case", *sweep.KEY_COLUMNS])
+    @settings(max_examples=50)
+    @given(st.lists(matrices(max_count=3) | matrices(max_count=10**100), min_size=1, max_size=4))
+    def test_every_layout_re_parses_to_the_values_written(self, tmp_path_factory, key_column, runs):
+        keys = [("",) if key_column is None else (f"C{i}", repr((i + 1) / 8)) for i in range(len(runs))]
+        values = [csvio.row(matrix) for matrix in runs]
+        path = tmp_path_factory.mktemp("layout") / "rows.csv"
+        with open(path, "w", newline="") as fh:
+            csvio.write_rows(fh, zip(keys, values), key_column)
+        read_column, read_keys, rows = oracles.read_metrics_csv(path)
+        assert read_column == key_column
+        assert read_keys == (None if key_column is None else [key for run in keys for key in run])
+        assert rows == [row for run, row in zip(keys, values) for _ in run]
+
+    def test_read_back_curve_shares_points_like_the_sweep(self, demo_samples, tmp_path):
+        curve = threshold_sweep(demo_samples)
+        parsed = read_back(written(curve, tmp_path / "curve.csv"))
+        assert parsed == curve
+        assert len(curve.runs) == 84
+        assert parsed.runs == curve.runs
+        for y_name in ("f1", "p4"):
+            assert optimal_threshold(parsed, y_name) == optimal_threshold(curve, y_name)
+
+    def test_read_back_evaluates_each_run_once_per_pass(self, demo_samples, tmp_path, monkeypatch):
+        curve = threshold_sweep(demo_samples, delta=0.0001)
+        path = written(curve, tmp_path / "curve.csv")
+        calls = 0
+        closed_forms = csvio._closed_forms
+
+        def counted(*counts):
+            nonlocal calls
+            calls += 1
+            return closed_forms(*counts)
+
+        monkeypatch.setattr(csvio, "_closed_forms", counted)
+        assert read_back(path) == curve
+        # once, where the constructor takes a run's row; comparing the matrices evaluates none
+        assert calls == len(curve.runs) == 169
+
+    def test_non_increasing_keys_rejected(self, tmp_path):
+        path = written(threshold_sweep(SEPARABLE, 0.0, 1.0, 0.5), tmp_path / "curve.csv")
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + rows[1] + rows[0] + rows[2])
+        with pytest.raises(BadGridError, match="^tau values must be strictly increasing, got 0.5 before 0.0$"):
+            read_back(path)
+
+    def test_case_keyed_csv_rejected(self, tmp_path):
+        path = tmp_path / "cases.csv"
+        with open(path, "w") as fh:
+            csvio.write_rows(fh, [(("C1",), csvio.row(ConfusionMatrix(1, 2, 3, 4)))], key_column="case")
+        key_column, keys, rows = oracles.read_metrics_csv(path)
+        assert (key_column, keys, rows) == ("case", ["C1"], [csvio.row(ConfusionMatrix(1, 2, 3, 4))])
+        with pytest.raises(BadGridError, match="^unknown key column 'case'"):
+            rebuilt(key_column, keys, rows)
+
+    @pytest.mark.parametrize("keys, key_column", [
+        ([""], None),
+        (["0.25", "0.5"], "case"),
+    ], ids=["no-key-column", "numeric-cases"])
+    def test_a_csv_without_a_series_key_column_is_rejected(self, tmp_path, keys, key_column):
+        # the `cases` and `eval --format csv` layouts are not series
+        values = csvio.row(ConfusionMatrix(1, 2, 3, 4))
+        path = tmp_path / "cases.csv"
+        with open(path, "w") as fh:
+            csvio.write_rows(fh, [(keys, values)], key_column=key_column)
+        read_column, read_keys, rows = oracles.read_metrics_csv(path)
+        assert (read_column, read_keys, rows) == (key_column, key_column and keys, [values] * len(keys))
+        message = rf"^unknown key column {key_column!r}, expected one of \('tau', 'pos_fraction', 'tpr'\)$"
+        with pytest.raises(BadGridError, match=message):
+            rebuilt(key_column, map(float, read_keys or range(len(rows))), rows)
+
+    def test_header_only_file_is_an_empty_grid(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text(",".join(("tau", *csvio.COLUMNS)) + "\n")
+        with pytest.raises(BadGridError, match="^empty grid$"):
+            read_back(path)
 
     def test_undefined_round_trips_as_nan(self, tmp_path):
         path = tmp_path / "curve.csv"
