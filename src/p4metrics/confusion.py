@@ -136,11 +136,9 @@ class ScoredSamples(_Record):
     def from_tallies(cls, positives: Mapping[float, int], negatives: Mapping[float, int]) -> "ScoredSamples":
         """Build from each class's tally, which maps each distinct score to
         the number of samples, at least 1, that have it."""
-        samples = cls.__new__(cls)
-        samples._build(positives, negatives)
-        return samples
+        return cls.__new__(cls)._build(positives, negatives)
 
-    def _build(self, positives: Mapping[float, int], negatives: Mapping[float, int]) -> None:
+    def _build(self, positives: Mapping[float, int], negatives: Mapping[float, int]) -> "ScoredSamples":
         for name, tally in (("positive", positives), ("negative", negatives)):
             scores = sorted(tally)
             # a NaN may sort anywhere, but it makes the sum NaN
@@ -154,6 +152,7 @@ class ScoredSamples(_Record):
             object.__setattr__(self, f"{name}_cumulative", tuple(cumulative))
         if len(self) == 0:
             raise EmptyInputError("no samples")
+        return self
 
     def __len__(self) -> int:
         return self.positive_cumulative[-1] + self.negative_cumulative[-1]
@@ -277,9 +276,9 @@ def _cpus() -> int:
 def _split_bounds(fh) -> list[int]:
     """The offsets that split binary file `fh` into ranges to count apart, 0 and
     its size included; [0, size] or [] when it is not worth or safe to split.
-    Each inner offset follows the first line end, an LF or a CR not before an
-    LF, in the block at or after k * size / N for N ranges; a block without
-    one gives no offset."""
+    Each inner offset follows the first line read from k * size / N for N
+    ranges, split by `bytes.splitlines` as `_byte_lines` splits, when its line
+    end starts in the block there; a block without one gives no offset."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
         return []
@@ -291,11 +290,10 @@ def _split_bounds(fh) -> list[int]:
     bounds = [0]
     for k in range(1, ranges):
         at = k * size // ranges
-        block = os.pread(fd, _BLOCK_BYTES + 1, at)  # and the byte after it, to tell a lone CR from a CRLF
-        lf, cr = block.find(b"\n", 0, _BLOCK_BYTES), block.find(b"\r", 0, _BLOCK_BYTES)
-        end = cr + (block[cr + 1 : cr + 2] == b"\n") if cr >= 0 and (lf < 0 or cr < lf) else lf
-        if end >= 0 and bounds[-1] < at + end + 1 < size:
-            bounds.append(at + end + 1)
+        # the block and the byte after it, so that a CR at the block's end is cut with a CRLF's LF; none if the file shrank
+        line = (os.pread(fd, _BLOCK_BYTES + 1, at).splitlines(keepends=True) or [b""])[0]
+        if len(line.rstrip(b"\r\n")) < min(len(line), _BLOCK_BYTES) and bounds[-1] < at + len(line) < size:
+            bounds.append(at + len(line))
     return bounds + [size]
 
 

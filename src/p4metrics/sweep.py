@@ -58,11 +58,12 @@ class MetricSeries(_Record):
     def __init__(self, key_column: str, keys: tuple[float, ...], matrices: tuple[ConfusionMatrix, ...]):
         if len(keys) != len(matrices):
             raise ValueError("keys and matrices must have equal length")
-        self._build(key_column, keys, ((start, end, csvio.row(matrix)) for start, end, matrix in _runs(matrices)))
+        self._build(key_column, keys, _runs(matrices))
 
     def _build(self, key_column: str, keys: tuple, runs: Iterable[tuple]) -> MetricSeries:
+        """Check the grid, then evaluate each (first index, end index, a matrix or its (tp, fp, fn, tn)) run once."""
         check_grid(key_column, keys)
-        self._set(key_column, keys, tuple(runs))
+        self._set(key_column, keys, tuple((start, end, csvio.row(matrix)) for start, end, matrix in runs))
         return self
 
     @property
@@ -116,10 +117,9 @@ def make_grid(tau0: float, tau_n: float, delta: float) -> tuple[float, ...]:
 
 
 def threshold_sweep(samples: ScoredSamples, tau0: float = 0.0, tau_n: float = 1.0, delta: float = 0.01) -> MetricSeries:
-    """Classify `samples` at every grid threshold by `samples.runs_at`, evaluating each run once."""
+    """Classify `samples` at every grid threshold, passing the runs of `samples.runs_at` to `MetricSeries._build`."""
     taus = make_grid(tau0, tau_n, delta)
-    runs = ((start, end, csvio.row(counts)) for start, end, counts in samples.runs_at(taus))
-    return MetricSeries.__new__(MetricSeries)._build("tau", taus, runs)
+    return MetricSeries.__new__(MetricSeries)._build("tau", taus, samples.runs_at(taus))
 
 
 class OptimalThreshold(_Record):

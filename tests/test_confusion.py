@@ -554,6 +554,20 @@ class TestSplitRead:
         else:
             assert split == ("empty",)
 
+    # a 16-byte file in 2 ranges reads the 4-byte block at byte 8 and the byte after it, byte 12
+    @pytest.mark.parametrize("tail, bounds", [
+        (b"x\nxxxxxx", [0, 10, 16]), (b"x\rxxxxxx", [0, 10, 16]), (b"xxx\r\nxxx", [0, 13, 16]),
+        (b"xxxx\nxxx", [0, 16]), (b"xxxx\rxxx", [0, 16]), (b"xxxxxxxx", [0, 16]), (b"\r\nxxxxxx", [0, 10, 16]),
+        (b"x\r\rxxxxx", [0, 10, 16]),
+    ], ids=["lf", "lone-cr", "crlf-across-the-block-end", "lf-after-the-block", "cr-after-the-block", "no-line-end",
+            "crlf-at-the-block-start", "cr-cr"])
+    def test_a_range_is_cut_after_the_first_line_end_in_the_block(self, tmp_path, tail, bounds):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"x" * 8 + tail)
+        with (patch.object(confusion, "_SPLIT_BYTES", 8), patch.object(confusion, "_BLOCK_BYTES", 4),
+              patch.object(confusion, "_cpus", lambda: 2), open(path, "rb") as fh):
+            assert confusion._split_bounds(fh) == bounds
+
     # a quoted header, as R's write.csv writes, is read as one record, and rows with quoted
     # fields, as R's write.csv quotes a text column or csv.QUOTE_ALL every field, are counted like any other
     @pytest.mark.parametrize("header, quote", [
