@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -88,26 +89,20 @@ def cmd_cases(args) -> None:
         _emit(lambda stream: print(json.dumps(records, indent=2), file=stream), args.out)
 
 
-def _chart_points(series: sweep.MetricSeries, x: str | None, y: str) -> tuple[tuple[float, float], ...]:
-    """(x, y) of one chart curve, with y a metric and nan for Undefined: one point
-    per key when x is None, standing for the key, else one per run."""
-    def cell(row: tuple, index: int) -> float:
-        return math.nan if row[index] is None else row[index]
-    x_at, y_at = (name and csvio.COLUMNS.index(name) for name in (x, y))  # looked up once per curve
-    if x is None:
-        return tuple((key, cell(row, y_at)) for start, end, row in series.runs for key in series.keys[start:end])
-    return tuple((cell(row, x_at), cell(row, y_at)) for _, _, row in series.runs)
+def _chart_points(series: sweep.MetricSeries, y: str) -> tuple[tuple[float, float], ...]:
+    """(key, y) per key of a series, with y a metric and nan for Undefined."""
+    y_at = csvio.COLUMNS.index(y)  # looked up once per curve
+    return tuple((key, math.nan if row[y_at] is None else row[y_at])
+                 for start, end, row in series.runs for key in series.keys[start:end])
 
 
-def _emit_series(series: sweep.MetricSeries, args, lines, title: str, x_label: str, y_label: str) -> None:
-    """Emit the series CSV; with --svg, chart each (name, x, y) of `lines` beside --out
-    (see `_chart_points`) before --out is closed, so a failed chart takes it along."""
+def _emit_series(write_csv: Callable[[TextIO], None], curves: Callable[[], list], args, *labels: str) -> None:
+    """Emit a series CSV by `write_csv`; with --svg, chart `curves()` under the title and axis `labels` beside --out."""
     def write(stream: TextIO) -> None:
-        sweep.write_curve_csv(series, stream)
-        if args.svg:
+        write_csv(stream)
+        if args.svg:  # before --out is closed, so that a failed chart takes it along
             from . import svg  # only --svg needs it, so the CLI starts without it
-            curves = [(name, _chart_points(series, x, y)) for name, x, y in lines]
-            svg.write_svg(Path(args.out).with_suffix(".svg"), title, x_label, y_label, curves)
+            svg.write_svg(Path(args.out).with_suffix(".svg"), *labels, curves())
     _emit(write, args.out)
 
 
@@ -119,19 +114,32 @@ def cmd_simulate(args) -> None:
         series = simulate.tpr_sweep(args.n, args.pos, args.tnr)
         title = f"metrics vs true positive rate (n={args.n}, pos={args.pos}, tnr={args.tnr})"
     names = ("p4", "f1", "mcc_scaled", "j_scaled", "mk_scaled")
-    lines = [(DISPLAY_NAMES[name], None, name) for name in names]
-    _emit_series(series, args, lines, title, series.key_column, "metric value")
+    _emit_series(lambda stream: sweep.write_curve_csv(series, stream),
+                 lambda: [(DISPLAY_NAMES[name], _chart_points(series, name)) for name in names],
+                 args, title, series.key_column, "metric value")
 
 
 def cmd_sweep(args) -> None:
     samples = read_scored_csv(args.file)
-    curve = sweep.threshold_sweep(samples, delta=args.delta)
+    taus = sweep.make_grid(0.0, 1.0, args.delta)
     pairs = list(sweep.PAIR_METRICS) if args.pair == "both" else [args.pair.removeprefix("mcc-")]
-    optima = [sweep.optimal_threshold(curve, y_metric) for y_metric in pairs]
-    lines = [(f"MCC'-{y_metric.upper()}", "mcc_scaled", y_metric) for y_metric in pairs]
-    _emit_series(curve, args, lines, f"paired metric curves ({Path(args.file).name})", "MCC'", "F1 / P4")
-    for best in optima:
-        print(f"optimal tau ({best.metric_pair}) = {best.tau:g} (distance {best.distance:.6f})")
+    x_at, y_ats = csvio.COLUMNS.index("mcc_scaled"), [csvio.COLUMNS.index(y_metric) for y_metric in pairs]
+    best, curves = [None] * len(pairs), [(f"MCC'-{y_metric.upper()}", []) for y_metric in pairs]
+    def walk():  # each run's keys and row, once the row has updated each pair's nearest point and, with --svg, curve
+        for start, end, counts in samples.runs_at(taus):
+            row = csvio.row(counts)
+            for i, (x, y) in enumerate((row[x_at], row[y_at]) for y_at in y_ats):
+                best[i] = sweep._nearer(best[i], taus[start], x, y)
+                if args.svg:
+                    curves[i][1].append((math.nan if x is None else x, math.nan if y is None else y))
+            yield map(repr, taus[start:end]), row
+    runs, held = walk(), []
+    while None in best:  # errors come before output, so hold the runs until every pair has a defined point
+        held.append(next(runs, None) or sweep._optimum(None, pairs[best.index(None)]))  # a walk that ends first raises
+    _emit_series(lambda stream: csvio.write_rows(stream, chain(held, runs), "tau"), lambda: curves,
+                 args, f"paired metric curves ({Path(args.file).name})", "MCC'", "F1 / P4")
+    for optimum in map(sweep._optimum, best, pairs):
+        print(f"optimal tau ({optimum.metric_pair}) = {optimum.tau:g} (distance {optimum.distance:.6f})")
 
 
 class _Parser(argparse.ArgumentParser):

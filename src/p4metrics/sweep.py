@@ -138,14 +138,26 @@ def optimal_threshold(series: MetricSeries, y_metric: str) -> OptimalThreshold:
         raise ValueError(f"paired curves need a tau-keyed series, got {series.key_column!r}")
     if y_metric not in PAIR_METRICS:
         raise ValueError(f"y_metric must be one of {PAIR_METRICS}, got {y_metric!r}")
-    pair = f"mcc-{y_metric}"
     x_index, y_index = csvio.COLUMNS.index("mcc_scaled"), csvio.COLUMNS.index(y_metric)
-    points = ((row[x_index], row[y_index], series.keys[start]) for start, _, row in series.runs)
-    defined = ((math.hypot(1.0 - x, 1.0 - y), tau) for x, y, tau in points if x is not None and y is not None)
-    distance, tau = min(defined, default=(None, None))  # of equal distances, the smallest tau
-    if distance is None:
-        raise NoDefinedPointsError(f"no fully defined points on the {pair} curve")
-    return OptimalThreshold(tau=tau, distance=distance, metric_pair=pair)
+    best = None
+    for start, _, row in series.runs:
+        best = _nearer(best, series.keys[start], row[x_index], row[y_index])
+    return _optimum(best, y_metric)
+
+
+def _nearer(best: tuple[float, float] | None, tau: float, x: float | None, y: float | None) -> tuple | None:
+    """`best`, a (distance, tau) or None, or (x, y)'s (distance, tau) from (1, 1) if both are defined and it is nearer."""
+    if x is None or y is None:
+        return best
+    distance = math.hypot(1.0 - x, 1.0 - y)
+    return (distance, tau) if best is None or distance < best[0] else best  # offered in tau order, ties keep the first
+
+
+def _optimum(best: tuple[float, float] | None, y_metric: str) -> OptimalThreshold:
+    """The OptimalThreshold of the (distance, tau) `best` on the MCC-`y_metric` curve, raising for None."""
+    if best is None:
+        raise NoDefinedPointsError(f"no fully defined points on the mcc-{y_metric} curve")
+    return OptimalThreshold(tau=best[1], distance=best[0], metric_pair=f"mcc-{y_metric}")
 
 
 def write_curve_csv(series: MetricSeries, out: TextIO) -> None:

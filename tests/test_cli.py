@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from p4metrics import (
-    ConfusionMatrix, MetricSeries, confusion, csvio, read_scored_csv, simulate, svg, sweep, threshold_sweep,
+    ConfusionMatrix, MetricSeries, NoDefinedPointsError, confusion, csvio, optimal_threshold, read_scored_csv, simulate,
+    svg, threshold_sweep, write_curve_csv,
 )
 from p4metrics.cli import main
 from p4metrics.metrics import METRIC_NAMES
@@ -501,12 +503,12 @@ def test_a_write_that_fails_into_a_fifo_keeps_the_fifo(capsys, tmp_path):
 
 @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()], ids=["os-error", "interrupt"])
 def test_a_write_that_fails_midway_leaves_no_out(capsys, tmp_path, monkeypatch, error):
-    def failing(series, out):
+    def failing(out, runs, key_column):
         out.write("tau," * 100_000)  # past the file's buffer, so some of it is on disk
         assert (tmp_path / "X.csv").stat().st_size > 0
         raise error
 
-    monkeypatch.setattr(sweep, "write_curve_csv", failing)
+    monkeypatch.setattr(csvio, "write_rows", failing)  # what the sweep writes its curve through
     argv = ["sweep", "--file", str(DEMO_CSV), "--out", str(tmp_path / "X.csv")]
     if isinstance(error, KeyboardInterrupt):
         with pytest.raises(KeyboardInterrupt):
@@ -515,6 +517,19 @@ def test_a_write_that_fails_midway_leaves_no_out(capsys, tmp_path, monkeypatch, 
         rc, out, err = run_cli(capsys, *argv)
         assert (rc, out, err) == (2, "", "p4metrics: error: disk full\n")
     assert list(tmp_path.iterdir()) == []
+
+
+# no tau gives mcc-p4 both coordinates: the sweep must fail before it writes a line, wherever the lines go
+@pytest.mark.parametrize("to_out", [False, True], ids=["stdout", "existing-out"])
+def test_a_sweep_with_no_defined_point_writes_nothing(capsys, tmp_path, to_out):
+    scores, out = tmp_path / "scores.csv", tmp_path / "X.csv"
+    scores.write_text("score,label\n0.1,1\n0.9,0\n")
+    out.write_bytes(b"tau,tp\r\nkept\n")
+    argv = ["sweep", "--file", str(scores), "--pair", "mcc-p4", *(["--out", str(out), "--svg"] if to_out else [])]
+    rc, stdout, err = run_cli(capsys, *argv)
+    assert (rc, stdout, err) == (2, "", "p4metrics: error: no fully defined points on the mcc-p4 curve\n")
+    assert out.read_bytes() == b"tau,tp\r\nkept\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["X.csv", "scores.csv"]
 
 
 @pytest.mark.parametrize("spelling", NUMBER_SPELLINGS)
@@ -627,6 +642,17 @@ def test_a_long_curve_is_streamed_not_held_in_memory(tmp_path):
     curve_mb = large.stat().st_size / 2**20
     assert curve_mb > 20  # 100,001 keys
     assert peak - base < curve_mb / 2, (base, peak, curve_mb)
+
+
+def test_a_sweep_of_many_runs_peaks_near_the_parse(tmp_path):
+    # 2 * 10**4 rows with 6-decimal scores give some 18,000 runs along 100,001 taus
+    rng = random.Random(2024)
+    path = tmp_path / "scores.csv"
+    path.write_text("score,label\n" + "".join(f"{rng.random():.6f},{int(rng.random() < 0.5)}\n" for _ in range(20_000)))
+    assert sum(1 for _ in read_scored_csv(path).runs_at(make_grid(0.0, 1.0, 0.00001))) > 17_000
+    base = peak_rss_mb("eval", "--file", str(path))
+    peak = peak_rss_mb("sweep", "--file", str(path), "--delta", "0.00001")
+    assert peak - base < 6, (base, peak)
 
 
 def test_a_late_switch_to_lone_cr_line_ends_costs_no_memory(tmp_path):
@@ -792,3 +818,46 @@ def test_the_cli_agrees_with_the_oracles(scored_path, text, tau, delta, split_by
     assert (key_column, tuple(map(float, written_keys))) == ("tau", keys)
     assert [row[:4] for row in rows] == [oracles.classify_counts(pairs, k) for k in keys]
     assert rows == [csvio.row(row[:4]) for row in rows]
+
+
+@st.composite
+def scored_texts(draw):
+    """(`score,label` CSV text, delta): up to 12 scores on a coarse or a fine palette, some texts with every positive
+    scored below every negative, so that a pair's first defined run may come late or never."""
+    coarse = st.sampled_from(["0", "0.1", "0.25", "0.5", "0.55", "0.9", "1"])
+    palette = draw(st.sampled_from([coarse, unit_floats.map(repr)]))
+    scores = draw(st.lists(palette, min_size=1, max_size=12))
+    labels = draw(st.lists(st.booleans(), min_size=len(scores), max_size=len(scores)))
+    if draw(st.booleans()):  # positives lowest
+        scores.sort(key=float)
+        labels.sort(reverse=True)
+    rows = "".join(f"{score},{int(label)}\n" for score, label in zip(scores, labels))
+    return "score,label\n" + rows, draw(st.sampled_from([0.01, 0.03, 0.1, 1 / 7, 0.25, 1.0]) | st.floats(0.01, 1.0))
+
+
+# the streamed sweep writes what the library's series writes, and picks the library's optima or fails as it does
+@settings(max_examples=150, deadline=None)
+@given(case=scored_texts(), pair=st.sampled_from(["mcc-f1", "mcc-p4", "both"]))
+@example(case=("score,label\n0.1,1\n0.9,0\n", 0.01), pair="both")
+@example(case=("score,label\n0.1,1\n0.2,1\n0.5,0\n0.9,0\n0.95,1\n", 0.05), pair="both")
+@example(case=("score,label\n0.3,1\n0.7,1\n0.1,0\n0.2,0\n0.4,0\n0.5,0\n0.6,0\n0.8,0\n", 0.05), pair="mcc-f1")
+def test_the_streamed_sweep_equals_the_library(scored_path, case, pair):
+    text, delta = case
+    scored_path.write_text(text)
+    curve = scored_path.with_name("stream.csv")
+    curve.unlink(missing_ok=True)
+    swept = run_main("sweep", "--file", str(scored_path), "--delta", repr(delta), "--pair", pair, "--out", str(curve))
+    series = threshold_sweep(read_scored_csv(scored_path), delta=delta)
+    lines = []
+    for y_name in ["f1", "p4"] if pair == "both" else [pair.removeprefix("mcc-")]:
+        try:
+            best = optimal_threshold(series, y_name)
+        except NoDefinedPointsError as exc:
+            assert swept == (2, "", f"p4metrics: error: {exc}\n")
+            assert not curve.exists()
+            return
+        lines.append(f"optimal tau ({best.metric_pair}) = {best.tau:g} (distance {best.distance:.6f})\n")
+    assert swept == (0, "".join(lines), "")
+    buffer = io.StringIO()
+    write_curve_csv(series, buffer)
+    assert curve.read_text() == buffer.getvalue()

@@ -420,6 +420,14 @@ class TestOptimalThreshold:
         assert best.distance == 0.0
         assert best.tau == 0.3
 
+    def test_a_tie_between_runs_goes_to_the_smaller_tau(self):
+        # (2, 4, 0, 2) from tau 0.2 and (1, 1, 1, 5) from tau 0.6 lie at one float distance, the nearest of the curve
+        samples = ScoredSamples([0.3, 0.7], [0.1, 0.2, 0.4, 0.5, 0.6, 0.8])
+        tied = [float_distance(ConfusionMatrix(*counts), "f1") for counts in [(2, 4, 0, 2), (1, 1, 1, 5)]]
+        assert tied[0] == tied[1]
+        best = optimal_threshold(threshold_sweep(samples, delta=0.05), "f1")
+        assert (best.tau, best.distance) == (0.2, tied[0])
+
     def test_no_defined_points(self):
         # one-class input: the true-negative margin is empty at every tau
         samples = samples_from([(0.3, True), (0.8, True)])
