@@ -8,7 +8,7 @@ round-trip decimal, so a written file re-parses to bit-identical floats.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import islice
 from typing import Iterable, TextIO
 
 from .confusion import ConfusionMatrix
@@ -17,6 +17,7 @@ from .metrics import METRIC_NAMES, _closed_forms
 COUNT_COLUMNS = ("tp", "fp", "fn", "tn")
 # every column after the optional leading key column
 COLUMNS = (*COUNT_COLUMNS, *METRIC_NAMES)
+_BATCH_KEYS = 64  # keys of a run whose lines write_rows joins at a time, some 14 KB, so no run is held whole
 
 
 def row(matrix: ConfusionMatrix | tuple[int, int, int, int]) -> tuple:
@@ -31,9 +32,12 @@ def cells(values: Iterable) -> str:
 
 
 def write_rows(out: TextIO, runs: Iterable[tuple[Iterable[str], tuple]], key_column: str | None) -> None:
-    """Write the header, then a line per key of each (keys, `row` values) run, its cells formatted and its
-    lines joined once.  Keys are written as given, unquoted; a `key_column` of None drops the column, its keys ''."""
+    """Write the header, then a line per key of each (keys, `row` values) run, its cells formatted once and its
+    lines joined _BATCH_KEYS at a time.  Keys go in verbatim; a `key_column` of None drops the column, its keys ''."""
     out.write(",".join(COLUMNS if key_column is None else (key_column, *COLUMNS)) + "\n")
     comma = "" if key_column is None else ","  # after each key; a run of no keys writes nothing
-    out.writelines(f"{comma}{cells(values)}\n".join(chain(keys, ("",))) for keys, values in runs)
+    for keys, values in runs:
+        end, keys = f"{comma}{cells(values)}\n", iter(keys)
+        while batch := tuple(islice(keys, _BATCH_KEYS)):
+            out.write(end.join((*batch, "")))
 

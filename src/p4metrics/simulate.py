@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .confusion import ConfusionMatrix, _Record
 from .errors import DegeneratePopulationError
-from .sweep import MetricSeries, _decimal_ratio, make_grid
+from .sweep import MetricSeries, _decimal_ratio
 
 
 class SimulationSpec(_Record):
@@ -59,8 +59,9 @@ def confusion_from_rates(spec: SimulationSpec) -> ConfusionMatrix:
     return ConfusionMatrix(tp=tp, fp=actual_negatives - tn, fn=actual_positives - tp, tn=tn)
 
 
-BALANCE_GRID = make_grid(0.01, 0.99, 0.01)
-TPR_GRID = make_grid(0.0, 1.0, 0.01)
+# make_grid(0.01, 0.99, 0.01) and make_grid(0.0, 1.0, 0.01) float for float, as tuples built without `array`
+BALANCE_GRID = tuple(k / 100 for k in range(1, 100))
+TPR_GRID = tuple(k / 100 for k in range(101))
 
 
 def balance_sweep(population: int, tpr: float, tnr: float) -> MetricSeries:

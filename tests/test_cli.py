@@ -655,6 +655,17 @@ def test_a_sweep_of_many_runs_peaks_near_the_parse(tmp_path):
     assert peak - base < 6, (base, peak)
 
 
+def test_one_long_run_is_written_in_batches(tmp_path):
+    # every tau in [0, 1) gives one matrix, so 100,000 of the 100,001 keys form one run
+    path, out = tmp_path / "scores.csv", tmp_path / "curve.csv"
+    path.write_text("score,label\n0.0,0\n1.0,1\n0.0,1\n1.0,0\n")
+    assert [end - start for start, end, _ in read_scored_csv(path).runs_at(make_grid(0.0, 1.0, 0.00001))] == [100_000, 1]
+    base = peak_rss_mb("eval", "--file", str(path))
+    peak = peak_rss_mb("sweep", "--file", str(path), "--delta", "0.00001", "--out", str(out))
+    assert out.stat().st_size > 6 * 2**20  # the one run's 100,000 lines
+    assert peak - base < 4, (base, peak)
+
+
 def test_a_late_switch_to_lone_cr_line_ends_costs_no_memory(tmp_path):
     # 10**6 rows; the late-cr copy ends its first 2,000 lines in LF and the rest in CR
     header, *rows = DEMO_CSV.read_text().splitlines(keepends=True)
@@ -806,7 +817,7 @@ def test_the_cli_agrees_with_the_oracles(scored_path, text, tau, delta, split_by
     assert record["counts"] == dict(zip(csvio.COUNT_COLUMNS, counts))
     assert list(record["metrics"]) == list(METRIC_NAMES)
     assert_oracle_metrics(record["metrics"].values(), counts)
-    keys = make_grid(0.0, 1.0, delta)
+    keys = tuple(make_grid(0.0, 1.0, delta))
     lines = {y_name: optimum_line(keys, pairs, y_name) for y_name in ("f1", "p4")}
     if None in lines.values():
         pair = next(y_name for y_name, line in lines.items() if line is None)

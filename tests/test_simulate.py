@@ -15,6 +15,8 @@ from p4metrics import (
     swap_labels,
     tpr_sweep,
 )
+from p4metrics.simulate import BALANCE_GRID, TPR_GRID
+from p4metrics.sweep import make_grid
 import golden
 import oracles
 
@@ -166,6 +168,12 @@ class TestTprSweep:
         assert abs(mid.mcc_scaled.value - float(oracles.scaled(oracles.mcc(*counts)))) <= 1e-12
         # the scaled-MCC/P4 gap sits near 0.3 through the first half
         assert abs((mid.mcc_scaled.value - mid.p4.value) - 0.3) <= 0.05
+
+
+def test_the_simulation_grids_are_make_grid_as_tuples():
+    # written out as tuples, so that the CLI starts without `array`, float for float the same
+    assert type(BALANCE_GRID) is tuple and BALANCE_GRID == tuple(make_grid(0.01, 0.99, 0.01))
+    assert type(TPR_GRID) is tuple and TPR_GRID == tuple(make_grid(0.0, 1.0, 0.01))
 
 
 class TestEdgeCases:

@@ -101,6 +101,7 @@ def decimal_grids(draw):
 class TestMakeGrid:
     def test_default_has_101_points(self):
         taus = make_grid(0.0, 1.0, 0.01)
+        assert taus.typecode == "d"  # packed, 8 bytes a key
         assert len(taus) == 101
         assert taus[0] == 0.0 and taus[-1] == 1.0
 
@@ -131,13 +132,13 @@ class TestMakeGrid:
 
     def test_sums_that_round_to_one_float_give_one_key(self):
         # 7 * 0.14285714285714285 is 0.99999999999999995, which rounds to 1.0
-        taus = make_grid(0.0, 1.0, 1 / 7)
+        taus = tuple(make_grid(0.0, 1.0, 1 / 7))
         assert len(taus) == 8 and taus[-2:] == (0.8571428571428571, 1.0)
         # 0.1 + 1e-17 rounds to 0.1, a step below the float spacing there
-        assert make_grid(0.1, 0.10000000000000002, 1e-17) == (0.1, 0.10000000000000002)
+        assert tuple(make_grid(0.1, 0.10000000000000002, 1e-17)) == (0.1, 0.10000000000000002)
 
     def test_size_cap_admits_a_fine_grid(self):
-        assert make_grid(0.0, 1.0, 0.0001) == tuple(i / 10_000 for i in range(10_001))
+        assert tuple(make_grid(0.0, 1.0, 0.0001)) == tuple(i / 10_000 for i in range(10_001))
         assert len(make_grid(0.0, 1.0, 1e-5)) == sweep.MAX_GRID_SIZE
 
     @given(st.floats(allow_nan=False, allow_infinity=False) | st.integers(min_value=0))
@@ -156,7 +157,7 @@ class TestMakeGrid:
     @given(decimal_grids(), st.data())
     def test_keys_are_the_decimal_grid(self, grid, data):
         tau0, tau_n, delta = (float(value) for value in grid)
-        keys = make_grid(tau0, tau_n, delta)
+        keys = tuple(make_grid(tau0, tau_n, delta))
         assert all(a < b for a, b in zip(keys, keys[1:]))
         below = []  # the exact decimal sums tau0 + i * delta below tau_n
         while (value := Decimal(repr(tau0)) + len(below) * Decimal(repr(delta))) < Decimal(repr(tau_n)):
@@ -167,7 +168,7 @@ class TestMakeGrid:
         drawn = data.draw(st.lists(st.tuples(st.integers(0, len(keys) - 2), st.booleans()), min_size=1, max_size=30))
         pairs = [(keys[i], is_positive) for i, is_positive in drawn]
         curve = threshold_sweep(samples_from(pairs), tau0, tau_n, delta)
-        assert curve.keys == keys
+        assert curve.keys == keys and type(curve.keys) is tuple
         for j, (tau, matrix) in enumerate(zip(curve.keys, curve.matrices)):
             assert (matrix.tp, matrix.fp, matrix.fn, matrix.tn) == oracles.classify_counts(pairs, tau)
             assert matrix.predicted_positives == sum(1 for i, _ in drawn if i > j)
@@ -259,7 +260,7 @@ class TestThresholdSweep:
     def test_matches_oracle_on_hard_inputs(self, case):
         delta, pairs = case
         curve = threshold_sweep(samples_from(pairs), delta=delta)
-        assert curve.keys == make_grid(0.0, 1.0, delta)
+        assert curve.keys == tuple(make_grid(0.0, 1.0, delta))
         for tau, matrix, row in zip(curve.keys, curve.matrices, key_rows(curve), strict=True):
             assert (matrix.tp, matrix.fp, matrix.fn, matrix.tn) == oracles.classify_counts(pairs, tau)
             assert row == csvio.row(matrix)
@@ -445,6 +446,12 @@ class TestMetricSeries:
     def test_admits_rate_endpoints(self):
         matrix = ConfusionMatrix(1, 2, 3, 4)
         assert MetricSeries("tpr", (0.0, 1.0), (matrix, matrix)).keys == (0.0, 1.0)
+
+    @pytest.mark.parametrize("keys", [[0.25, 0.75], make_grid(0.25, 0.75, 0.5)], ids=["list", "array"])
+    def test_keeps_any_sequence_of_keys_as_a_tuple(self, keys):
+        series = MetricSeries("tau", keys, (ConfusionMatrix(1, 2, 3, 4),) * 2)
+        assert type(series.keys) is tuple and series.keys == (0.25, 0.75)
+        assert hash(series) == hash(MetricSeries("tau", (0.25, 0.75), series.matrices))
 
     def test_rejects_keys_and_matrices_of_unequal_length(self):
         with pytest.raises(ValueError, match="equal length"):
