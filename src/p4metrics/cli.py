@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import chain
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -123,23 +122,13 @@ def cmd_sweep(args) -> None:
     samples = read_scored_csv(args.file)
     taus = sweep.make_grid(0.0, 1.0, args.delta)
     pairs = list(sweep.PAIR_METRICS) if args.pair == "both" else [args.pair.removeprefix("mcc-")]
-    x_at, y_ats = csvio.COLUMNS.index("mcc_scaled"), [csvio.COLUMNS.index(y_metric) for y_metric in pairs]
-    best, curves = [None] * len(pairs), [(f"MCC'-{y_metric.upper()}", []) for y_metric in pairs]
-    def walk():  # each run's keys and row, once the row has updated each pair's nearest point and, with --svg, curve
-        for start, end, counts in samples.runs_at(taus):
-            row = csvio.row(counts)
-            for i, (x, y) in enumerate((row[x_at], row[y_at]) for y_at in y_ats):
-                best[i] = sweep._nearer(best[i], taus[start], x, y)
-                if args.svg:
-                    curves[i][1].append((math.nan if x is None else x, math.nan if y is None else y))
-            yield map(repr, taus[start:end]), row
-    runs, held = walk(), []
-    while None in best:  # errors come before output, so hold the runs until every pair has a defined point
-        held.append(next(runs, None) or sweep._optimum(None, pairs[best.index(None)]))  # a walk that ends first raises
-    _emit_series(lambda stream: csvio.write_rows(stream, chain(held, runs), "tau"), lambda: curves,
+    curves = [(f"MCC'-{y_metric.upper()}", []) for y_metric in pairs]
+    runs = ((start, end, csvio.row(counts)) for start, end, counts in samples.runs_at(taus))
+    lines, best = sweep._walk(taus, runs, pairs, [points for _, points in curves] if args.svg else None)
+    _emit_series(lambda stream: csvio.write_rows(stream, lines, "tau"), lambda: curves,
                  args, f"paired metric curves ({Path(args.file).name})", "MCC'", "F1 / P4")
-    for optimum in map(sweep._optimum, best, pairs):
-        print(f"optimal tau ({optimum.metric_pair}) = {optimum.tau:g} (distance {optimum.distance:.6f})")
+    for (distance, tau), y_metric in zip(best, pairs):
+        print(f"optimal tau (mcc-{y_metric}) = {tau:g} (distance {distance:.6f})")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -3,9 +3,9 @@
 A series gives one confusion matrix per value of a varied key, a threshold
 tau or a simulation's positive fraction or true positive rate, and holds and
 evaluates each run of equal neighbouring matrices once.  A threshold sweep
-walks the sample set's runs along a grid of taus.  Pairing scaled MCC with
-F1 or P4 gives the two comparison curves, and the optimal threshold is the
-grid point closest to the ideal corner (1, 1) in that plane.
+walks the sample set's runs along a grid of taus.  Scaled MCC against F1 or
+P4 gives the two comparison curves; one walk, for the library and the `sweep`
+command, writes them and picks the optimum, the grid point nearest (1, 1).
 """
 
 from __future__ import annotations
@@ -136,37 +136,47 @@ def optimal_threshold(series: MetricSeries, y_metric: str) -> OptimalThreshold:
     corner (1, 1) of a tau-keyed series, with `y_metric` one of PAIR_METRICS.
 
     Only points whose two coordinates are both defined compete, and ties go to
-    the smallest tau.  Each run of equal matrices is measured once, at its
-    first key, which is its smallest tau.
+    the smallest tau.  `_walk`, the `sweep` command's walk, measures each run
+    of equal matrices once, at its first key, which is its smallest tau.
     """
     if series.key_column != "tau":
         raise ValueError(f"paired curves need a tau-keyed series, got {series.key_column!r}")
     if y_metric not in PAIR_METRICS:
         raise ValueError(f"y_metric must be one of {PAIR_METRICS}, got {y_metric!r}")
-    x_index, y_index = csvio.COLUMNS.index("mcc_scaled"), csvio.COLUMNS.index(y_metric)
-    best = None
-    for start, _, row in series.runs:
-        best = _nearer(best, series.keys[start], row[x_index], row[y_index])
-    return _optimum(best, y_metric)
-
-
-def _nearer(best: tuple[float, float] | None, tau: float, x: float | None, y: float | None) -> tuple | None:
-    """`best`, a (distance, tau) or None, or (x, y)'s (distance, tau) from (1, 1) if both are defined and it is nearer."""
-    if x is None or y is None:
-        return best
-    distance = math.hypot(1.0 - x, 1.0 - y)
-    return (distance, tau) if best is None or distance < best[0] else best  # offered in tau order, ties keep the first
-
-
-def _optimum(best: tuple[float, float] | None, y_metric: str) -> OptimalThreshold:
-    """The OptimalThreshold of the (distance, tau) `best` on the MCC-`y_metric` curve, raising for None."""
-    if best is None:
-        raise NoDefinedPointsError(f"no fully defined points on the mcc-{y_metric} curve")
-    return OptimalThreshold(tau=best[1], distance=best[0], metric_pair=f"mcc-{y_metric}")
+    lines, best = _walk(series.keys, series.runs, (y_metric,))
+    for _ in lines:  # best is final once the walk is done
+        pass
+    [(distance, tau)] = best
+    return OptimalThreshold(tau=tau, distance=distance, metric_pair=f"mcc-{y_metric}")
 
 
 def write_curve_csv(series: MetricSeries, out: TextIO) -> None:
-    """Write a series in the standard metrics CSV layout, keyed by its key column."""
-    runs = ((map(repr, series.keys[start:end]), row) for start, end, row in series.runs)
-    csvio.write_rows(out, runs, series.key_column)
+    """Write a series in the standard metrics CSV layout, keyed by its key column, by `_walk` with no pair."""
+    csvio.write_rows(out, _walk(series.keys, series.runs)[0], series.key_column)
 
+
+def _walk(keys: Sequence[float], runs: Iterable[tuple], y_metrics: Sequence[str] = (),
+          curves: Sequence[list] | None = None) -> tuple[Iterator[tuple], list[tuple[float, float]]]:
+    """The curve CSV's (key reprs, row) runs of (first index, end index, `csvio.row`) `runs` along `keys`, and the
+    (distance, tau) nearest (1, 1) in the (scaled MCC, y) plane of each y of `y_metrics`, final once the runs are; with
+    `curves`, each run's (MCC', y) point, nan for Undefined, joins its pair's list.  Runs are held until every pair has
+    a defined point: a walk that ends first raises NoDefinedPointsError for the first with none, before any run."""
+    x_at, y_ats = csvio.COLUMNS.index("mcc_scaled"), [csvio.COLUMNS.index(y_metric) for y_metric in y_metrics]
+    best = [None] * len(y_ats)
+    def walk() -> Iterator[tuple]:
+        for start, end, row in runs:
+            for i, y_at in enumerate(y_ats):
+                x, y = row[x_at], row[y_at]
+                if x is not None and y is not None:
+                    distance = math.hypot(1.0 - x, 1.0 - y)
+                    if best[i] is None or distance < best[i][0]:  # offered in tau order, ties keep the first
+                        best[i] = (distance, keys[start])
+                if curves is not None:
+                    curves[i].append((math.nan if x is None else x, math.nan if y is None else y))
+            yield map(repr, keys[start:end]), row
+    lines, held = walk(), []
+    while None in best:  # errors come before output, so hold the runs until every pair has a defined point
+        if (run := next(lines, None)) is None:
+            raise NoDefinedPointsError(f"no fully defined points on the mcc-{y_metrics[best.index(None)]} curve")
+        held.append(run)
+    return chain(held, lines), best

@@ -781,11 +781,18 @@ def optimum_line(keys, pairs, y_name):
 @given(text=scored_csv_texts(), tau=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | unit_floats,
        delta=st.sampled_from([0.01, 0.03, 0.1, 1 / 7, 0.25, 1.0]) | st.floats(min_value=0.01, max_value=1.0),
        split_bytes=st.just(confusion._SPLIT_BYTES) | st.integers(min_value=1, max_value=64),
-       cpus=st.integers(min_value=2, max_value=4))
-@example(text="score,label\n0.5,1\n0.25,0\n0.5,1\n0.25,0\n", tau=0.25, delta=0.25, split_bytes=16, cpus=2)
+       cpus=st.integers(min_value=2, max_value=4), pair=st.sampled_from(["mcc-f1", "mcc-p4", "both"]))
+@example(text="score,label\n0.5,1\n0.25,0\n0.5,1\n0.25,0\n", tau=0.25, delta=0.25, split_bytes=16, cpus=2,
+         pair="both")
 @example(text="score,label\n0.5,1\n0.25,0\n0.5,1\n0.25,0\n0.5,maybe\n0.5,1\n", tau=0.5, delta=0.1, split_bytes=16,
-         cpus=3)
-def test_the_cli_agrees_with_the_oracles(scored_path, text, tau, delta, split_bytes, cpus):
+         cpus=3, pair="both")
+# MCC' and F1 are defined between the two scores, P4 nowhere: only a requested pair holds the walk or fails it
+@example(text="score,label\n0.1,1\n0.9,0\n", tau=0.5, delta=0.25, split_bytes=16, cpus=2, pair="mcc-f1")
+@example(text="score,label\n0.1,1\n0.9,0\n", tau=0.5, delta=0.25, split_bytes=16, cpus=2, pair="both")
+# (2, 4, 0, 2) from tau 0.2 and (1, 1, 1, 5) from tau 0.6 tie nearest (1, 1) on MCC'-F1: the smaller tau wins
+@example(text="score,label\n0.3,1\n0.7,1\n0.1,0\n0.2,0\n0.4,0\n0.5,0\n0.6,0\n0.8,0\n", tau=0.5, delta=0.05,
+         split_bytes=16, cpus=2, pair="mcc-f1")
+def test_the_cli_agrees_with_the_oracles(scored_path, text, tau, delta, split_bytes, cpus, pair):
     scored_path.write_bytes(text.encode())
     curve = scored_path.with_name("curve.csv")
     curve.unlink(missing_ok=True)
@@ -795,7 +802,7 @@ def test_the_cli_agrees_with_the_oracles(scored_path, text, tau, delta, split_by
         with patch.object(confusion, "_SPLIT_BYTES", split_bytes), patch.object(confusion, "_cpus", lambda: cpus):
             evals = [run_main("eval", "--file", str(scored_path), "--tau", repr(tau), "--format", form)
                      for form in ("csv", "json")]
-            swept = run_main("sweep", "--file", str(scored_path), "--delta", repr(delta), "--pair", "both",
+            swept = run_main("sweep", "--file", str(scored_path), "--delta", repr(delta), "--pair", pair,
                              "--out", str(curve))
     finally:
         csv.field_size_limit(limit)
@@ -818,10 +825,11 @@ def test_the_cli_agrees_with_the_oracles(scored_path, text, tau, delta, split_by
     assert list(record["metrics"]) == list(METRIC_NAMES)
     assert_oracle_metrics(record["metrics"].values(), counts)
     keys = tuple(make_grid(0.0, 1.0, delta))
-    lines = {y_name: optimum_line(keys, pairs, y_name) for y_name in ("f1", "p4")}
-    if None in lines.values():
-        pair = next(y_name for y_name, line in lines.items() if line is None)
-        assert swept == (2, "", f"p4metrics: error: no fully defined points on the mcc-{pair} curve\n")
+    y_names = ["f1", "p4"] if pair == "both" else [pair.removeprefix("mcc-")]
+    lines = {y_name: optimum_line(keys, pairs, y_name) for y_name in y_names}
+    if None in lines.values():  # the first requested pair with no defined point
+        missing = next(y_name for y_name, line in lines.items() if line is None)
+        assert swept == (2, "", f"p4metrics: error: no fully defined points on the mcc-{missing} curve\n")
         assert not curve.exists()
         return
     assert swept == (0, "".join(lines.values()), "")

@@ -433,8 +433,14 @@ class TestOptimalThreshold:
         # one-class input: the true-negative margin is empty at every tau
         samples = samples_from([(0.3, True), (0.8, True)])
         curve = threshold_sweep(samples, 0.0, 1.0, 0.25)
-        with pytest.raises(NoDefinedPointsError):
+        with pytest.raises(NoDefinedPointsError, match="^no fully defined points on the mcc-p4 curve$"):
             optimal_threshold(curve, "p4")
+        # the curve CSV asks for no pair, so it is written whole, Undefined MCC and all
+        buffer = io.StringIO()
+        write_curve_csv(curve, buffer)
+        header, *rows = csv.reader(io.StringIO(buffer.getvalue()))
+        assert header == ["tau", *csvio.COLUMNS] and len(rows) == 5
+        assert all(row[header.index("mcc")] == "nan" for row in rows)
 
 
 class TestMetricSeries:
